@@ -25,7 +25,7 @@ from .masking import masks_from_text, resolve_policy
 from .pipeline import RunConfig, RunSummary, _load_features, parse_dsp_config, run_pipeline
 from .render import render_masks_pgm
 from .spfx import read_spfx, read_stats_container, write_spfx, write_stats_container
-from .stats import accumulate_stats, standardize, verify_grid
+from .stats import MIN_TRIALS, accumulate_stats, standardize, verify_grid
 from .toy import (
     DEFAULT_DEMO_EPOCHS,
     DEFAULT_DEMO_LR,
@@ -147,6 +147,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.trials < MIN_TRIALS:
+        raise ConfigError(f"--trials must be >= {MIN_TRIALS}, got {args.trials}")
     rows = verify_grid(VERIFY_EXTENTS, VERIFY_MAX_WIDTHS, VERIFY_COUNTS, args.trials, args.seed)
     print(f"{'extent':>6} {'max_width':>9} {'count':>5} {'exact':>10} {'mc_mean':>10} {'stderr':>10} result")
     failures = 0
@@ -167,6 +169,10 @@ def _cmd_demo(args) -> int:
         policy = _policy_from_args(args)
     else:
         policy = DEFAULT_DEMO_POLICY
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
+    if args.lr < 0:
+        raise ConfigError(f"--lr must be >= 0, got {args.lr}")
     dataset = generate_dataset(default_params(), args.seed)
     curve = train(dataset, policy, args.epochs, args.lr, args.seed)
     Path(args.out).write_text(curve.to_csv(), encoding="utf-8")

@@ -102,21 +102,25 @@ def next_u64_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `uniform`: one independent draw in [0, n) per state."""
+    """Vectorized `uniform`: one independent draw in [0, n) per state.
+
+    Every state draws once in a single batch step; only the rejected ones
+    (probability below n / 2**64 each) draw again.  `states` is not modified.
+    """
     if n < 1:
         raise ValueError(f"uniform bound must be >= 1, got {n}")
     limit = ((1 << 64) // n) * n
-    states = states.copy()
-    out = np.empty(states.shape, dtype=np.uint64)
-    pending = np.ones(states.shape, dtype=bool)
-    while pending.any():
-        u, s = next_u64_batch(states[pending])
-        states[pending] = s
-        accepted = u < np.uint64(limit & MASK64) if limit <= MASK64 else np.ones_like(u, dtype=bool)
-        idx = np.flatnonzero(pending)
-        out[idx[accepted]] = u[accepted]
-        pending[idx[accepted]] = False
-    return (out % np.uint64(n)).astype(np.int64), states
+    u, states = next_u64_batch(states)
+    if limit <= MASK64:  # else n divides 2**64 and nothing is rejected
+        bound = np.uint64(limit)
+        rejected = u >= bound
+        while rejected.any():
+            redraw, s = next_u64_batch(states[rejected])
+            states[rejected] = s
+            u[rejected] = redraw
+            rejected[rejected] = redraw >= bound
+    u %= np.uint64(n)
+    return u.view(np.int64), states
 
 
 def substream_batch(seed: int, indices: np.ndarray) -> np.ndarray:

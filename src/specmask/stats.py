@@ -25,6 +25,13 @@ VARIANCE_FLOOR = 1e-8
 #: Feasibility bound for the brute-force multi-mask oracle.
 MAX_ENUMERATION = 10**7
 
+#: Fewest trials the Monte Carlo harness accepts.
+MIN_TRIALS = 100
+
+#: Trials drawn and counted together by the Monte Carlo harness.  Results do
+#: not depend on it: every trial draws from its own substream.
+MC_BLOCK_TRIALS = 1 << 16
+
 
 @dataclass(frozen=True)
 class CorpusStats:
@@ -162,25 +169,48 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     return total / size
 
 
+def union_coverage(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions covered by the union of each row's intervals [start, start + length).
+
+    Interval arithmetic: sorts each row's intervals by start, carrying their
+    ends along, keeps a running max of the ends, and adds the part of every
+    interval that reaches past it.  Positions must be below 2**31.  Returns
+    one int64 count per row.
+    """
+    # one int64 key per interval, start in the high half, so a compare-exchange
+    # moves the end with its start; work column by column over all rows at once
+    keys = [(start << 32) | (start + length) for start, length in zip(starts.T, lengths.T)]
+    for i in range(1, len(keys)):  # insertion-sort network over the columns
+        for j in range(i, 0, -1):
+            keys[j - 1], keys[j] = np.minimum(keys[j - 1], keys[j]), np.maximum(keys[j - 1], keys[j])
+    covered = np.zeros(starts.shape[0], dtype=np.int64)
+    reach = 0
+    for key in keys:
+        start, end = key >> 32, key & 0xFFFFFFFF
+        covered += np.maximum(end - np.maximum(start, reach), 0)
+        reach = np.maximum(reach, end)
+    return covered
+
+
 def monte_carlo_masked_mean(
     max_width: int, count: int, extent: int, trials: int, rng: RngState
 ) -> MaskFractionReport:
     """Run the axis sampler `trials` times and report the mean masked-position count.
 
     Each trial gets its own substream derived from (rng.state, trial index),
-    so results do not depend on how trials are batched.  Standard error is the
-    sample standard deviation over trials divided by sqrt(trials).
+    so results do not depend on how trials are batched; they are drawn and
+    counted in blocks of MC_BLOCK_TRIALS to bound memory.  Standard error is
+    the sample standard deviation over trials divided by sqrt(trials).
     """
-    if trials < 100:
-        raise ValueError(f"trials must be >= 100, got {trials}")
-    states = substream_batch(rng.state, np.arange(trials))
-    starts, lengths, _ = sample_axis_masks_batch(max_width, count, extent, states)
-    if starts.shape[1] == 0:
-        counts = np.zeros(trials)
-    else:
-        pos = np.arange(extent)[None, None, :]
-        covered = (pos >= starts[:, :, None]) & (pos < (starts + lengths)[:, :, None])
-        counts = covered.any(axis=1).sum(axis=1).astype(np.float64)
+    if trials < MIN_TRIALS:
+        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
+    counts = np.empty(trials)
+    for first in range(0, trials, MC_BLOCK_TRIALS):
+        last = min(first + MC_BLOCK_TRIALS, trials)
+        states = substream_batch(rng.state, np.arange(first, last))
+        starts, lengths = sample_axis_masks_batch(max_width, count, extent, states)[:2]
+        del states  # only the masks are needed from here on
+        counts[first:last] = union_coverage(starts, lengths)
     mc_mean = float(counts.mean())
     mc_stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     exact = exact_masked_mean(max_width, extent) if min(count, extent) == 1 else None

@@ -189,6 +189,23 @@ def test_verify_grid_passes_at_reduced_trials(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_too_few_trials_exits_2(capsys):
+    assert main(["verify", "--trials", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--trials" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "-1")])
+def test_demo_bad_training_argument_exits_2(tmp_path, capsys, flag, value):
+    curve_path = tmp_path / "curve.csv"
+    assert main(["demo", flag, value, "--out", str(curve_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flag in err
+    assert not curve_path.exists()
+
+
 def test_demo_writes_learning_curve(tmp_path, capsys):
     curve_path = tmp_path / "curve.csv"
     assert main(["demo", "--epochs", "5", "--seed", "3", "--out", str(curve_path)]) == 0

@@ -125,14 +125,14 @@ def test_batch_next_matches_scalar_including_wraparound():
         assert int(succ[i]) == expected_state.state
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 1000, 2**16])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 13, 1000, 2**16, 3 * 2**62, 2**64 - 5])
 def test_batch_uniform_matches_scalar(n):
     rng = np.random.default_rng(5)  # only to pick arbitrary starting states
     states = rng.integers(0, 2**64, size=300, dtype=np.uint64)
     values, succ = uniform_batch(states, n)
     for i, s in enumerate(states.tolist()):
         expected_value, expected_state = uniform(RngState(s), n)
-        assert int(values[i]) == expected_value
+        assert int(values[i]) % 2**64 == expected_value  # the int64 result wraps above 2**63
         assert int(succ[i]) == expected_state.state
 
 
@@ -157,6 +157,15 @@ def test_batch_uniform_exercises_rejection():
                 break
         rejected += steps - 1
     assert rejected > 0
+
+
+@pytest.mark.parametrize("n", [6, 2**63 + 1])
+def test_batch_uniform_leaves_caller_states_alone(n):
+    states = np.random.default_rng(8).integers(0, 2**64, size=64, dtype=np.uint64)
+    before = states.copy()
+    _, succ = uniform_batch(states, n)
+    assert np.array_equal(states, before)
+    assert not np.shares_memory(succ, states)
 
 
 def test_substream_batch_matches_scalar():

@@ -10,14 +10,17 @@ import pytest
 
 from specmask.errors import ConfigError, EmptyInputError, EnumerationTooLargeError
 from specmask.features import FeatureMatrix
-from specmask.rng import RngState
+from specmask.masking import sample_axis_masks_batch
+from specmask.rng import RngState, substream_batch
 from specmask.stats import (
+    MC_BLOCK_TRIALS,
     CorpusStats,
     accumulate_stats,
     exact_masked_mean,
     exact_masked_mean_multi,
     monte_carlo_masked_mean,
     standardize,
+    union_coverage,
     verify_grid,
 )
 
@@ -182,6 +185,59 @@ def test_exact_multi_refuses_large_instances():
 
 
 # ------------------------------------------------------------- Monte Carlo
+
+
+def dense_coverage(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Reference union size: mark every covered position of a row, then count."""
+    extent = int((starts + lengths).max(initial=0))
+    covered = np.zeros((starts.shape[0], extent), dtype=bool)
+    for row, (row_starts, row_lengths) in enumerate(zip(starts.tolist(), lengths.tolist())):
+        for start, length in zip(row_starts, row_lengths):
+            covered[row, start : start + length] = True
+    return covered.sum(axis=1)
+
+
+@pytest.mark.parametrize(
+    "intervals, expected",
+    [
+        ([(0, 3), (2, 3)], 5),  # overlapping
+        ([(1, 6), (2, 2)], 6),  # nested
+        ([(2, 2), (1, 6)], 6),  # nested, larger one listed second
+        ([(0, 2), (2, 3)], 5),  # touching
+        ([(4, 0), (1, 1)], 1),  # zero-length
+        ([(3, 0), (3, 0)], 0),  # only zero-length
+        ([(3, 2), (4, 1)], 2),  # clamped at the end of a 5-position axis
+        ([(0, 1), (2, 1), (4, 1), (6, 1)], 4),  # disjoint
+        ([(5, 1), (0, 7), (3, 0), (8, 2)], 9),  # unsorted, nested and zero-length
+    ],
+)
+def test_union_coverage_hand_cases(intervals, expected):
+    starts = np.array([[s for s, _ in intervals]], dtype=np.int64)
+    lengths = np.array([[n for _, n in intervals]], dtype=np.int64)
+    assert dense_coverage(starts, lengths).tolist() == [expected]
+    assert union_coverage(starts, lengths).tolist() == [expected]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_union_coverage_matches_dense_reference(k):
+    rng = np.random.default_rng(40 + k)
+    for extent, max_width in [(1, 0), (1, 3), (4, 2), (7, 6), (12, 3), (12, 12)]:
+        starts = rng.integers(0, extent, size=(500, k))
+        widths = rng.integers(0, max_width + 1, size=(500, k))
+        lengths = np.minimum(widths, extent - starts)
+        counts = union_coverage(starts, lengths)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, dense_coverage(starts, lengths))
+
+
+def test_monte_carlo_blocks_match_one_pass():
+    max_width, count, extent, trials, seed = 3, 2, 8, MC_BLOCK_TRIALS + 1, 12
+    report = monte_carlo_masked_mean(max_width, count, extent, trials, RngState(seed))
+    states = substream_batch(seed, np.arange(trials))
+    starts, lengths, _ = sample_axis_masks_batch(max_width, count, extent, states)
+    counts = dense_coverage(starts, lengths).astype(np.float64)
+    assert report.mc_mean == float(counts.mean())
+    assert report.mc_stderr == float(counts.std(ddof=1) / math.sqrt(trials))
 
 
 def test_monte_carlo_zero_width():
