@@ -24,8 +24,8 @@ from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import masks_from_text, resolve_policy
 from .pipeline import RunConfig, RunSummary, _load_features, parse_dsp_config, run_pipeline
 from .render import render_masks_pgm
-from .spfx import read_spfx, read_stats_container, write_spfx, write_stats_container
-from .stats import MIN_TRIALS, accumulate_stats, standardize, verify_grid
+from .spfx import read_spfx, write_stats_container
+from .stats import MIN_TRIALS, accumulate_stats, verify_grid
 from .toy import (
     DEFAULT_DEMO_EPOCHS,
     DEFAULT_DEMO_LR,
@@ -48,19 +48,22 @@ def _dsp_from_args(args) -> DspConfig:
 
 
 def _policy_from_args(args):
-    if getattr(args, "preset", None):
+    if args.preset:
         return resolve_policy(args.preset)
-    if getattr(args, "policy", None):
+    if args.policy:
         return resolve_policy(args.policy)
     return resolve_policy("none")
 
 
-def _report_summary(summary: RunSummary) -> int:
+def _report_summary(summary: RunSummary, done: str | None = None) -> int:
+    """Print warnings, failures and the `done` line (default: the processed count)."""
     for note in summary.warnings:
         print(f"warning: {note}", file=sys.stderr)
     for utterance_id, message in summary.failures:
         print(f"failed: {utterance_id}: {message}", file=sys.stderr)
-    print(f"processed {summary.utterances_processed} utterances, {summary.masks_drawn} masks drawn")
+    if done is None:
+        done = f"processed {summary.utterances_processed} utterances, {summary.masks_drawn} masks drawn"
+    print(done)
     return 1 if summary.failures else 0
 
 
@@ -87,22 +90,16 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_standardize(args) -> int:
-    dsp = _dsp_from_args(args)
-    stats = read_stats_container(args.stats)
-    manifest_path = Path(args.manifest)
-    manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for record in manifest.records:
-        try:
-            features = standardize(_load_features(record, manifest_path.parent, dsp), stats)
-            write_spfx(features, out_dir / f"{record.utterance_id}.spfx")
-        except (SpecmaskError, OSError, ValueError) as exc:
-            print(f"failed: {record.utterance_id}: {exc}", file=sys.stderr)
-            failures += 1
-    print(f"standardized {len(manifest) - failures} of {len(manifest)} utterances")
-    return 1 if failures else 0
+    config = RunConfig(
+        manifest_path=args.manifest,
+        output_dir=args.out,
+        dsp=_dsp_from_args(args),
+        mode="eval",  # standardize only, never augment
+        stats_path=args.stats,
+    )
+    summary = run_pipeline(config)
+    total = summary.utterances_processed + len(summary.failures)
+    return _report_summary(summary, f"standardized {summary.utterances_processed} of {total} utterances")
 
 
 def _cmd_augment(args) -> int:
@@ -256,10 +253,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FormatError, ManifestError, EmptyInputError, EnumerationTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (
+        ConfigError, FormatError, ManifestError, EmptyInputError, EnumerationTooLargeError, FileNotFoundError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SpecmaskError as exc:

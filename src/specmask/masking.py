@@ -130,11 +130,12 @@ def sample_axis_masks_batch(
     Draw-for-draw equivalent to the scalar sampler: trial i consumes its
     stream exactly as sample_axis_masks would with RngState(states[i]).
     Returns (starts, lengths) as (n_trials, effective_count) int64 arrays plus
-    the advanced states.
+    the advanced states, always a fresh array except at count 0, where no
+    state advances and the input states array itself is returned.
     """
     if extent < 1:
         raise ValueError(f"extent must be >= 1, got {extent}")
-    states = np.asarray(states, dtype=np.uint64).copy()
+    states = np.asarray(states, dtype=np.uint64)
     n = states.shape[0]
     effective = min(count, extent)
     if effective < count:
@@ -172,19 +173,26 @@ def sample_policy_masks(
     return time_masks + freq_masks, rng
 
 
+def mask_index(mask: MaskSpec, shape: tuple[int, int]) -> tuple[slice, slice]:
+    """Index of the cells `mask` covers in a (frames, channels) array of this shape.
+
+    Time masks select frame rows, frequency masks channel columns.  A mask
+    that starts at or runs past the end of its axis raises MaskBoundsError.
+    """
+    extent = shape[0] if mask.axis == "time" else shape[1]
+    if mask.start >= extent or mask.start + mask.length > extent:
+        raise MaskBoundsError(
+            f"{mask.axis} mask [{mask.start}, {mask.start + mask.length}) exceeds axis extent {extent}"
+        )
+    span = slice(mask.start, mask.start + mask.length)
+    return (span, slice(None)) if mask.axis == "time" else (slice(None), span)
+
+
 def apply_masks(features: FeatureMatrix, masks: list[MaskSpec]) -> FeatureMatrix:
     """Zero every masked frame row / channel column; the input is left untouched."""
     data = features.data.copy()
     for mask in masks:
-        extent = features.num_frames if mask.axis == "time" else features.num_channels
-        if mask.start + mask.length > extent or mask.start >= extent:
-            raise MaskBoundsError(
-                f"{mask.axis} mask [{mask.start}, {mask.start + mask.length}) exceeds axis extent {extent}"
-            )
-        if mask.axis == "time":
-            data[mask.start : mask.start + mask.length, :] = 0.0
-        else:
-            data[:, mask.start : mask.start + mask.length] = 0.0
+        data[mask_index(mask, data.shape)] = 0.0
     return replace(features, data=data)
 
 

@@ -9,8 +9,9 @@ eval-mode output tree is byte-identical to a policy-none tree.
 
 from __future__ import annotations
 
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, SpecmaskError
@@ -104,9 +105,9 @@ def run_pipeline(config: RunConfig) -> RunSummary:
     manifest_path = Path(config.manifest_path)
     manifest: Manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
     base_dir = manifest_path.parent
+    stats = read_stats_container(config.stats_path) if config.stats_path else None
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stats = read_stats_container(config.stats_path) if config.stats_path else None
 
     summary = RunSummary()
     with ThreadPoolExecutor(max_workers=config.num_workers) as pool:
@@ -127,17 +128,21 @@ def run_pipeline(config: RunConfig) -> RunSummary:
     return summary
 
 
-_DSP_INT_FIELDS = {"n_fft", "n_mels", "n_coeffs"}
-_DSP_FLOAT_FIELDS = {"pre_emphasis", "frame_len_ms", "frame_shift_ms", "log_floor", "fmin_hz", "fmax_hz"}
-_DSP_OPTIONAL_FIELDS = {"n_fft", "n_coeffs", "fmax_hz"}
-_DSP_FIELD_NAMES = {f.name for f in fields(DspConfig)}
+def _field_type(hint) -> tuple[type, bool]:
+    """(value type, whether `none` is accepted) of an annotation such as `int`, `str` or `float | None`."""
+    args = typing.get_args(hint)
+    return next((a for a in args if a is not type(None)), hint), type(None) in args
+
+
+_DSP_FIELD_TYPES = {name: _field_type(hint) for name, hint in typing.get_type_hints(DspConfig).items()}
 
 
 def parse_dsp_config(text: str) -> DspConfig:
     """Parse `key = value` lines into a DspConfig.
 
-    `#` lines and blank lines are skipped; unknown keys are rejected.  The
-    optional fields accept the value `none`.
+    `#` lines and blank lines are skipped; unknown keys are rejected.  Each
+    value is parsed as its DspConfig annotation says; the `T | None` fields
+    also accept the value `none`, in any case.
     """
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -149,19 +154,13 @@ def parse_dsp_config(text: str) -> DspConfig:
         key, _, raw_value = stripped.partition("=")
         key = key.strip()
         value = raw_value.strip()
-        if key not in _DSP_FIELD_NAMES:
+        if key not in _DSP_FIELD_TYPES:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"config line {lineno}: duplicate key {key!r}")
+        value_type, optional = _DSP_FIELD_TYPES[key]
         try:
-            if key in _DSP_OPTIONAL_FIELDS and value.lower() == "none":
-                values[key] = None
-            elif key in _DSP_INT_FIELDS:
-                values[key] = int(value)
-            elif key in _DSP_FLOAT_FIELDS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+            values[key] = None if optional and value.lower() == "none" else value_type(value)
         except ValueError:
             raise ConfigError(f"config line {lineno}: bad value {value!r} for {key!r}") from None
     return DspConfig(**values)

@@ -6,9 +6,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MaskBoundsError
 from .features import FeatureMatrix
-from .masking import MaskSpec
+from .masking import MaskSpec, mask_index
 
 MAX_LINE = 70  # PGM raster lines must stay short
 
@@ -28,18 +27,8 @@ def render_masks_pgm(features: FeatureMatrix, masks: list[MaskSpec], path) -> No
     else:
         gray = np.floor((data - lo) / (hi - lo) * 255.0 + 0.5).astype(np.int64)
 
-    masked = np.zeros((num_frames, num_channels), dtype=bool)
     for mask in masks:
-        extent = num_frames if mask.axis == "time" else num_channels
-        if mask.start >= extent or mask.start + mask.length > extent:
-            raise MaskBoundsError(
-                f"{mask.axis} mask [{mask.start}, {mask.start + mask.length}) exceeds axis extent {extent}"
-            )
-        if mask.axis == "time":
-            masked[mask.start : mask.start + mask.length, :] = True
-        else:
-            masked[:, mask.start : mask.start + mask.length] = True
-    gray[masked] = 0
+        gray[mask_index(mask, gray.shape)] = 0
 
     lines = ["P2", f"{num_frames} {num_channels}", "255"]
     for channel in range(num_channels - 1, -1, -1):  # top image row = highest channel

@@ -106,6 +106,8 @@ def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Every state draws once in a single batch step; only the rejected ones
     (probability below n / 2**64 each) draw again.  `states` is not modified.
+    Values come back as int64, or as uint64 when n > 2**63, where int64 could
+    not hold every draw.
     """
     if n < 1:
         raise ValueError(f"uniform bound must be >= 1, got {n}")
@@ -120,7 +122,7 @@ def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
             u[rejected] = redraw
             rejected[rejected] = redraw >= bound
     u %= np.uint64(n)
-    return u.view(np.int64), states
+    return (u if n > 1 << 63 else u.view(np.int64)), states
 
 
 def substream_batch(seed: int, indices: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DivergenceError, EmptyInputError
 from .features import FeatureMatrix
-from .masking import AugmentPolicy, apply_masks, sample_policy_masks
+from .masking import AugmentPolicy, augment
 from .rng import RngState, derive_utterance_seed, uniform
 from .stats import accumulate_stats, standardize
 
@@ -170,10 +170,14 @@ def gradient(model: ToyModel, batch: Sequence[tuple[FeatureMatrix, int]]) -> tup
         raise EmptyInputError("gradient needs a non-empty batch")
     pooled = np.stack([_pool(features) for features, _ in batch])
     labels = np.array([label for _, label in batch])
-    probs = _batch_probs(model, pooled)
+    return _pooled_gradient(_batch_probs(model, pooled), pooled, labels)
+
+
+def _pooled_gradient(probs: np.ndarray, pooled: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`gradient` from the batch's softmax probabilities, pooled rows and labels."""
     diff = probs.copy()
-    diff[np.arange(len(batch)), labels] -= 1.0
-    return diff.T @ pooled / len(batch), diff.mean(axis=0)
+    diff[np.arange(labels.shape[0]), labels] -= 1.0
+    return diff.T @ pooled / labels.shape[0], diff.mean(axis=0)
 
 
 def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -215,10 +219,8 @@ def train(
             rows = []
             for ex in dataset.train:
                 rng = RngState(derive_utterance_seed(seed, f"{ex.example_id}:{epoch}"))
-                masks, _ = sample_policy_masks(
-                    policy, ex.features.num_frames, ex.features.num_channels, rng
-                )
-                rows.append(_pool(apply_masks(ex.features, masks)))
+                masked, _, _ = augment(ex.features, policy, rng)
+                rows.append(_pool(masked))
             pooled = np.stack(rows)
         probs = _batch_probs(model, pooled)
         train_nll = _mean_nll(probs, train_labels)
@@ -229,10 +231,9 @@ def train(
             )
         train_curve.append(train_nll)
         dev_curve.append(dev_nll)
-        diff = probs.copy()
-        diff[np.arange(train_labels.shape[0]), train_labels] -= 1.0
-        model.weights -= lr * (diff.T @ pooled / train_labels.shape[0])
-        model.bias -= lr * diff.mean(axis=0)
+        grad_weights, grad_bias = _pooled_gradient(probs, pooled, train_labels)
+        model.weights -= lr * grad_weights
+        model.bias -= lr * grad_bias
     return LearningCurve(train_nll=tuple(train_curve), dev_nll=tuple(dev_curve))
 
 

@@ -108,6 +108,20 @@ def test_stats_then_standardize_centers_the_corpus(tmp_path, capsys):
     assert "standardized 4 of 4" in capsys.readouterr().out
 
 
+def test_standardize_tree_equals_augment_eval_with_stats(tmp_path):
+    manifest = build_corpus(tmp_path, 3)
+    stats_path = tmp_path / "corpus.spfx-stats"
+    assert main(["stats", "--manifest", str(manifest), "--out", str(stats_path)]) == 0
+    std_out = tmp_path / "std"
+    eval_out = tmp_path / "eval"
+    assert main(["standardize", "--stats", str(stats_path), "--manifest", str(manifest), "--out", str(std_out)]) == 0
+    assert main([
+        "augment", "--preset", "ld-like", "--seed", "4", "--mode", "eval", "--stats", str(stats_path),
+        "--manifest", str(manifest), "--out", str(eval_out),
+    ]) == 0
+    assert tree_bytes(std_out) == tree_bytes(eval_out)
+
+
 def test_augment_with_stats_standardizes_before_masking(tmp_path):
     manifest = build_corpus(tmp_path, 2)
     stats_path = tmp_path / "corpus.spfx-stats"
@@ -230,6 +244,15 @@ def test_demo_policy_none_differs_from_default(tmp_path):
 def test_missing_manifest_exits_2(tmp_path, capsys):
     assert main(["extract", "--manifest", str(tmp_path / "nope.tsv"), "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["standardize", "augment"])
+def test_missing_stats_exits_2_before_creating_the_output(tmp_path, capsys, command):
+    manifest = build_corpus(tmp_path, 1)
+    out = tmp_path / "o"
+    assert main([command, "--stats", str(tmp_path / "nope"), "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_malformed_manifest_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -195,6 +196,29 @@ def test_parse_dsp_config_happy_path():
     text = "# front end\nn_mels = 64\npre_emphasis = 0.95\nfeature = mfcc\nn_coeffs = 20\nn_fft = 1024\n"
     cfg = parse_dsp_config(text)
     assert cfg == DspConfig(n_mels=64, pre_emphasis=0.95, feature="mfcc", n_coeffs=20, n_fft=1024)
+
+
+def test_parse_dsp_config_sets_every_field_with_its_type():
+    expected = {
+        "pre_emphasis": 0.9,
+        "frame_len_ms": 20.0,
+        "frame_shift_ms": 5.0,
+        "n_fft": 512,
+        "n_mels": 26,
+        "n_coeffs": 13,
+        "log_floor": 1e-8,
+        "fmin_hz": 20.0,
+        "fmax_hz": 7000.0,
+        "feature": "mfcc",
+    }
+    assert set(expected) == {f.name for f in fields(DspConfig)}
+    # whole-number floats are written without a point, so each must still parse as float
+    text = "pre_emphasis = 0.9\nframe_len_ms = 20\nframe_shift_ms = 5\nn_fft = 512\nn_mels = 26\n"
+    text += "n_coeffs = 13\nlog_floor = 1e-8\nfmin_hz = 20\nfmax_hz = 7000\nfeature = mfcc\n"
+    cfg = parse_dsp_config(text)
+    for name, value in expected.items():
+        parsed = getattr(cfg, name)
+        assert parsed == value and type(parsed) is type(value), name
 
 
 def test_parse_dsp_config_none_values():

@@ -9,7 +9,7 @@ import pytest
 
 from specmask.errors import MaskBoundsError
 from specmask.features import FeatureMatrix
-from specmask.masking import MaskSpec
+from specmask.masking import MaskSpec, apply_masks
 from specmask.render import render_masks_pgm
 
 
@@ -115,3 +115,24 @@ def test_figure_panels_match_goldens(tmp_path):
     assert set(panels) == {"none", "time", "freq", "both"}
     for name, data in panels.items():
         assert data == (GOLDEN_DIR / f"panel_{name}.pgm").read_bytes(), name
+
+
+def test_black_cells_are_exactly_the_cells_apply_masks_zeroes(tmp_path):
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        frames, channels = (int(v) for v in rng.integers(1, 12, size=2))
+        masks = []
+        for _ in range(int(rng.integers(0, 5))):
+            axis = "time" if rng.random() < 0.5 else "frequency"
+            extent = frames if axis == "time" else channels
+            start = int(rng.integers(0, extent))
+            masks.append(MaskSpec(axis, start, int(rng.integers(0, extent - start + 1))))
+        features = matrix(1.0 + rng.random((frames, channels)))  # no cell is zero before masking
+        zeroed = apply_masks(features, masks).data == 0.0
+        plain, masked = tmp_path / f"plain{trial}.pgm", tmp_path / f"masked{trial}.pgm"
+        render_masks_pgm(features, [], plain)
+        render_masks_pgm(features, masks, masked)
+        plain_pixels = parse_pgm(plain)[2][::-1].T  # back to (frames, channels)
+        masked_pixels = parse_pgm(masked)[2][::-1].T
+        assert np.array_equal(masked_pixels == 0, zeroed | (plain_pixels == 0)), masks
+        assert np.array_equal(masked_pixels[~zeroed], plain_pixels[~zeroed]), masks

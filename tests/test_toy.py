@@ -12,7 +12,9 @@ from specmask.features import FeatureMatrix
 from specmask.masking import POLICY_PRESETS, AugmentPolicy
 from specmask.rng import RngState
 from specmask.toy import (
+    DEFAULT_DEMO_LR,
     DEFAULT_DEMO_POLICY,
+    DEFAULT_DEMO_SEED,
     DemoParams,
     LearningCurve,
     ToyModel,
@@ -292,3 +294,21 @@ def test_shipped_defaults_shrink_the_gap():
     clean = train(ds, POLICY_PRESETS["none"], 200, 0.5, 0)
     masked = train(ds, DEFAULT_DEMO_POLICY, 200, 0.5, 0)
     assert masked.final_gap < clean.final_gap
+
+
+def test_masked_learning_curve_is_pinned():
+    # bit-exact reference: a change to re-masking, the gradient step or the rng streams shows here
+    ds = generate_dataset(default_params(), DEFAULT_DEMO_SEED)
+    curve = train(ds, DEFAULT_DEMO_POLICY, 20, DEFAULT_DEMO_LR, DEFAULT_DEMO_SEED)
+    assert curve.train_nll == (
+        1.0986122886681098, 1.07498099801738, 1.050416550528893, 1.0344290120653485, 1.0074394558963577,
+        0.9939321502371592, 0.9691605434951474, 0.9391376538929673, 0.9451986313314917, 0.9078892506245503,
+        0.901402137764038, 0.8834169645907016, 0.8825257617122052, 0.8374940286317171, 0.8175263958661048,
+        0.8020677249149659, 0.81046090536808, 0.8426307176620731, 0.7807310010843534, 0.7529951413583098,
+    )
+    assert curve.dev_nll == (
+        1.0986122886681096, 1.0709762940920262, 1.0472833493602023, 1.0218592059638367, 0.9993574942371595,
+        0.9760419025189478, 0.9538656154685734, 0.9322613013366354, 0.9109199535195905, 0.892316101324748,
+        0.8736453970728906, 0.8582692046835207, 0.8418307259260969, 0.8266574545271093, 0.8113064017310023,
+        0.7951270435828379, 0.7786969433985627, 0.7674162477446024, 0.7575544236739662, 0.7446669246677247,
+    )
