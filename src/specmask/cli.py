@@ -22,7 +22,7 @@ from .errors import (
 from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import masks_from_text, resolve_policy
-from .pipeline import RunConfig, RunSummary, _load_features, parse_dsp_config, run_pipeline
+from .pipeline import RECORD_ERRORS, RunConfig, RunSummary, load_features, parse_dsp_config, run_pipeline
 from .render import render_masks_pgm
 from .spfx import read_spfx, write_stats_container
 from .stats import MIN_TRIALS, accumulate_stats, verify_grid
@@ -82,11 +82,26 @@ def _cmd_stats(args) -> int:
     dsp = _dsp_from_args(args)
     manifest_path = Path(args.manifest)
     manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
-    stream = (_load_features(record, manifest_path.parent, dsp) for record in manifest.records)
-    stats = accumulate_stats(stream)
+    summary = RunSummary()
+
+    def loaded():
+        # the pipeline's failure policy: a record that fails is reported and skipped
+        for record in manifest.records:
+            try:
+                features = load_features(record, manifest_path.parent, dsp)
+            except RECORD_ERRORS as exc:
+                summary.failures.append((record.utterance_id, str(exc)))
+                continue
+            summary.utterances_processed += 1
+            yield features
+
+    try:
+        stats = accumulate_stats(loaded())
+    except EmptyInputError:
+        _report_summary(summary, "accumulated 0 frames")  # say why no record loaded
+        raise
     write_stats_container(stats, args.out)
-    print(f"accumulated {stats.count} frames over {stats.num_channels} channels")
-    return 0
+    return _report_summary(summary, f"accumulated {stats.count} frames over {stats.num_channels} channels")
 
 
 def _cmd_standardize(args) -> int:

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, EmptyInputError, FormatError, UnsupportedFormatError
 
@@ -188,7 +190,11 @@ def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if coeff == 0.0:
         return x.copy()
-    return np.concatenate(([x[0]], x[1:] - coeff * x[:-1]))
+    out = np.empty_like(x)
+    out[0] = x[0]
+    np.multiply(x[:-1], coeff, out=out[1:])
+    np.subtract(x[1:], out[1:], out=out[1:])
+    return out
 
 
 def frame_and_window(signal: PcmSignal, cfg: DspConfig) -> np.ndarray:
@@ -206,10 +212,10 @@ def frame_and_window(signal: PcmSignal, cfg: DspConfig) -> np.ndarray:
             f"signal of {emphasized.size} samples is shorter than one {frame_len}-sample frame"
         )
     num_frames = (emphasized.size - frame_len) // step + 1
-    idx = np.arange(frame_len)[None, :] + step * np.arange(num_frames)[:, None]
-    frames = emphasized[idx] * np.hamming(frame_len)
-    if n_fft > frame_len:
-        frames = np.pad(frames, ((0, 0), (0, n_fft - frame_len)))
+    # window each strided frame straight into the zero-padded buffer rfft reads
+    frames = np.zeros((num_frames, n_fft))
+    strided = sliding_window_view(emphasized, frame_len)[::step]
+    np.multiply(strided, _constant(np.hamming, frame_len), out=frames[:, :frame_len])
     return frames
 
 
@@ -220,6 +226,18 @@ def power_spectrum(frames: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(power)):
         raise ValueError("power spectrum is not finite; check the input frames")
     return power
+
+
+@lru_cache(maxsize=64)
+def _constant(build, *args) -> np.ndarray:
+    """`build(*args)`, built once per argument tuple and shared read-only.
+
+    Holds the window, filterbank and DCT matrix that every utterance of a run
+    reuses; the public builders still return a fresh, writable array.
+    """
+    array = build(*args)
+    array.setflags(write=False)
+    return array
 
 
 def hz_to_mel(hz):
@@ -260,7 +278,7 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fm
 def mel_energies(power: np.ndarray, cfg: DspConfig, sample_rate: int) -> FeatureMatrix:
     """Filter-weighted band energies followed by log(max(x, log_floor))."""
     n_fft = 2 * (power.shape[1] - 1)
-    bank = mel_filterbank(cfg.n_mels, n_fft, sample_rate, cfg.fmin_hz, cfg.effective_fmax(sample_rate))
+    bank = _constant(mel_filterbank, cfg.n_mels, n_fft, sample_rate, cfg.fmin_hz, cfg.effective_fmax(sample_rate))
     energies = power @ bank.T
     logmel = np.log(np.maximum(energies, cfg.log_floor))
     return FeatureMatrix(data=logmel, frame_shift_ms=cfg.frame_shift_ms, kind="log_mel")
@@ -282,7 +300,7 @@ def mfcc_from_logmel(logmel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
         raise ValueError(f"mfcc_from_logmel requires kind 'log_mel', got {logmel.kind!r}")
     if n_coeffs > logmel.num_channels:
         raise ConfigError(f"n_coeffs={n_coeffs} exceeds the {logmel.num_channels} mel channels")
-    g = dct_matrix(logmel.num_channels)
+    g = _constant(dct_matrix, logmel.num_channels)
     coeffs = logmel.data @ g[:n_coeffs].T
     return replace(logmel, data=coeffs, kind="mfcc")
 

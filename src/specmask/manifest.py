@@ -29,10 +29,16 @@ class Manifest:
         return len(self.records)
 
 
+#: Substrings an utterance id may not contain: the id names the record's output
+#: files, so these would let it reach outside the output directory.
+_UNSAFE_ID_PARTS = ("/", "\\", "\0", "..")
+
+
 def parse_manifest(text: str) -> Manifest:
     """Parse manifest text; `#` lines and blank lines are skipped.
 
-    Malformed lines and duplicate ids raise ManifestError naming the line.
+    Malformed lines, duplicate ids and ids that contain `/`, `\\`, NUL or
+    `..` raise ManifestError naming the line.
     """
     records: list[ManifestRecord] = []
     seen: dict[str, int] = {}
@@ -45,6 +51,10 @@ def parse_manifest(text: str) -> Manifest:
         utterance_id, path = fields[0], fields[1]
         if not utterance_id or not path:
             raise ManifestError(f"line {lineno}: empty id or path")
+        if any(part in utterance_id for part in _UNSAFE_ID_PARTS):
+            raise ManifestError(
+                f"line {lineno}: utterance id {utterance_id!r} contains a path separator, '..' or NUL"
+            )
         num_frames = None
         if len(fields) == 3:
             try:

@@ -61,7 +61,12 @@ class RunSummary:
     failures: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _load_features(record: ManifestRecord, base_dir: Path, dsp: DspConfig) -> FeatureMatrix:
+#: Errors that fail one record: it is reported and skipped, and the run goes on.
+RECORD_ERRORS = (SpecmaskError, OSError, ValueError)
+
+
+def load_features(record: ManifestRecord, base_dir: Path, dsp: DspConfig) -> FeatureMatrix:
+    """The record's features: read from its `.spfx` file, or extracted from its WAV with `dsp`."""
     path = base_dir / record.path
     if path.suffix == ".spfx":
         return read_spfx(path)
@@ -75,7 +80,7 @@ def _process_one(
     config: RunConfig,
     stats: CorpusStats | None,
 ) -> tuple[int, list[str]]:
-    features = _load_features(record, base_dir, config.dsp)
+    features = load_features(record, base_dir, config.dsp)
     if stats is not None:
         features = standardize(features, stats)
     policy = config.effective_policy
@@ -119,7 +124,7 @@ def run_pipeline(config: RunConfig) -> RunSummary:
         for record, future in zip(manifest.records, futures):
             try:
                 num_masks, notes = future.result()
-            except (SpecmaskError, OSError, ValueError) as exc:
+            except RECORD_ERRORS as exc:
                 summary.failures.append((record.utterance_id, str(exc)))
                 continue
             summary.utterances_processed += 1

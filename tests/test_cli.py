@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from specmask.cli import main
+from specmask.features import DspConfig, extract, read_wav
 from specmask.masking import masks_from_text
 from specmask.spfx import read_spfx, read_stats_container
 from specmask.stats import accumulate_stats
@@ -281,6 +282,45 @@ def test_missing_wav_is_per_utterance_failure(tmp_path, capsys):
     assert "processed 2 utterances" in captured.out
     assert (out / "utt000.spfx").exists()
     assert not (out / "ghost.spfx").exists()
+
+
+def test_stats_skips_and_reports_a_failing_record(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 3)
+    (tmp_path / "utt001.wav").unlink()
+    stats_path = tmp_path / "corpus.spfx-stats"
+    assert main(["stats", "--manifest", str(manifest), "--out", str(stats_path)]) == 1
+    captured = capsys.readouterr()
+    assert "failed: utt001: " in captured.err
+    assert "error:" not in captured.err
+    loaded = [extract(read_wav(tmp_path / f"utt{i:03d}.wav"), DspConfig()) for i in (0, 2)]
+    expected = accumulate_stats(loaded)
+    assert f"accumulated {expected.count} frames over 40 channels" in captured.out
+    # the container stores float32 rows
+    stats = read_stats_container(stats_path)
+    assert np.array_equal(stats.mean, expected.mean.astype(np.float32))
+    assert np.array_equal(stats.variance, expected.variance.astype(np.float32))
+
+
+def test_stats_with_no_loadable_record_exits_2(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 2)
+    for i in range(2):
+        (tmp_path / f"utt{i:03d}.wav").unlink()
+    stats_path = tmp_path / "corpus.spfx-stats"
+    assert main(["stats", "--manifest", str(manifest), "--out", str(stats_path)]) == 2
+    err = capsys.readouterr().err
+    assert "failed: utt000: " in err and "failed: utt001: " in err
+    assert "error:" in err
+    assert not stats_path.exists()
+
+
+def test_extract_rejects_an_id_that_escapes_the_output_directory(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 1)
+    with manifest.open("a", encoding="utf-8") as fh:
+        fh.write("../escaped\tutt000.wav\n")
+    out = tmp_path / "c" / "out" / "inner"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "line 2" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
 
 def test_missing_required_argument_exits_2(capsys):

@@ -424,6 +424,122 @@ def test_presets_are_well_formed():
     assert (iwslt.n_mels, iwslt.effective_n_coeffs(), iwslt.feature) == (80, 80, "mfcc")
 
 
+# ----------------------------------------- bit identity with the plain route
+
+
+def reference_frames(signal: PcmSignal, cfg: DspConfig) -> np.ndarray:
+    """Pre-emphasis, fancy-index gather, window product and np.pad: the plain framing route."""
+    rate = signal.sample_rate
+    x = signal.samples
+    if cfg.pre_emphasis != 0.0:
+        x = np.concatenate(([x[0]], x[1:] - cfg.pre_emphasis * x[:-1]))
+    frame_len, step, n_fft = cfg.frame_length(rate), cfg.frame_step(rate), cfg.fft_size(rate)
+    num_frames = (x.size - frame_len) // step + 1
+    idx = np.arange(frame_len)[None, :] + step * np.arange(num_frames)[:, None]
+    frames = x[idx] * np.hamming(frame_len)
+    return np.pad(frames, ((0, 0), (0, n_fft - frame_len)))
+
+
+def reference_extract(signal: PcmSignal, cfg: DspConfig) -> np.ndarray:
+    """The front end rebuilt from reference_frames and freshly built public constants."""
+    rate = signal.sample_rate
+    power = power_spectrum(reference_frames(signal, cfg))
+    bank = mel_filterbank(cfg.n_mels, cfg.fft_size(rate), rate, cfg.fmin_hz, cfg.effective_fmax(rate))
+    logmel = np.log(np.maximum(power @ bank.T, cfg.log_floor))
+    if cfg.feature == "mfcc":
+        return logmel @ dct_matrix(cfg.n_mels)[: cfg.effective_n_coeffs()].T
+    return logmel
+
+
+def noise_signal(num_samples: int, rate: int, seed: int = 11) -> PcmSignal:
+    rng = np.random.default_rng(seed)
+    return PcmSignal(samples=rng.uniform(-0.6, 0.6, size=num_samples), sample_rate=rate)
+
+
+_BIT_CASES = {
+    "librispeech-like": (DSP_PRESETS["librispeech-like"], 16000),
+    "iwslt-like": (DSP_PRESETS["iwslt-like"], 16000),
+    "no-pre-emphasis": (DspConfig(pre_emphasis=0.0), 16000),
+    "nfft2048-band-mfcc13": (DspConfig(n_fft=2048, fmin_hz=100.0, fmax_hz=7000.0, n_coeffs=13, feature="mfcc"), 16000),
+    "8khz": (DspConfig(n_mels=23), 8000),
+    "22khz-mfcc": (DspConfig(feature="mfcc", n_coeffs=20), 22050),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BIT_CASES))
+@pytest.mark.parametrize("length", ["one-frame", "one-frame+1", "ragged", "30s"])
+def test_front_end_is_bit_identical_to_the_plain_route(case, length):
+    cfg, rate = _BIT_CASES[case]
+    frame_len, step = cfg.frame_length(rate), cfg.frame_step(rate)
+    num_samples = {
+        "one-frame": frame_len,
+        "one-frame+1": frame_len + 1,
+        "ragged": frame_len + 7 * step + step // 3,  # 8 frames plus a dropped tail
+        "30s": 30 * rate,
+    }[length]
+    signal = noise_signal(num_samples, rate)
+    frames = frame_and_window(signal, cfg)
+    expected_frames = reference_frames(signal, cfg)
+    assert frames.shape == expected_frames.shape
+    assert frames.tobytes() == expected_frames.tobytes()
+    features = extract(signal, cfg)
+    expected = reference_extract(signal, cfg)
+    assert features.data.shape == expected.shape
+    assert features.data.tobytes() == expected.tobytes()
+
+
+def test_pre_emphasis_is_bit_identical_to_the_plain_formula():
+    x = noise_signal(1001, 16000).samples
+    for coeff in (0.97, 0.5, 0.0):
+        expected = np.concatenate(([x[0]], x[1:] - coeff * x[:-1])) if coeff else x
+        assert pre_emphasize(x, coeff).tobytes() == expected.tobytes()
+    assert pre_emphasize(np.array([0.25]), 0.97).tolist() == [0.25]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (DspConfig(), DspConfig(fmax_hz=6000.0)),
+        (DspConfig(), DspConfig(n_mels=24)),
+        (DspConfig(feature="mfcc"), DspConfig(feature="mfcc", n_mels=24)),
+        (DspConfig(fmin_hz=0.0), DspConfig(fmin_hz=300.0)),
+        (DspConfig(), DspConfig(frame_len_ms=20.0)),
+    ],
+)
+def test_cached_constants_follow_every_config_field(first, second):
+    signal = noise_signal(16000, 16000)
+    a = extract(signal, first)
+    b = extract(signal, second)
+    assert a.data.tobytes() == reference_extract(signal, first).tobytes()
+    assert b.data.tobytes() == reference_extract(signal, second).tobytes()
+    assert a.data.tobytes() != b.data.tobytes()
+    # and back again, now that both configs have been seen
+    assert extract(signal, first).data.tobytes() == a.data.tobytes()
+
+
+def test_cached_constants_follow_the_sample_rate():
+    cfg = DspConfig(n_mels=23, n_fft=512)
+    for rate in (8000, 16000, 8000):
+        signal = noise_signal(rate, rate)
+        assert extract(signal, cfg).data.tobytes() == reference_extract(signal, cfg).tobytes()
+
+
+def test_public_constants_are_fresh_and_writable():
+    signal = noise_signal(16000, 16000)
+    cfg = DspConfig(feature="mfcc")
+    before = extract(signal, cfg).data.tobytes()
+    banks = [mel_filterbank(40, 512, 16000, 0.0, 8000.0) for _ in range(2)]
+    dcts = [dct_matrix(40) for _ in range(2)]
+    for first, second in (banks, dcts):
+        assert first.flags.writeable and second.flags.writeable
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+        first[...] = 0.0
+        assert np.any(second != 0.0)
+    # scribbling on the public copies leaves the front end alone
+    assert extract(signal, cfg).data.tobytes() == before
+
+
 def test_dsp_config_validation():
     with pytest.raises(ConfigError):
         DspConfig(pre_emphasis=1.0)

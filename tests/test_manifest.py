@@ -67,6 +67,18 @@ def test_malformed_lines():
         parse_manifest("\tx.wav\n")
 
 
+@pytest.mark.parametrize("utterance_id", ["../escaped", "..", "a..b", "sub/utt", "/abs", "sub\\utt", "nul\0id"])
+def test_id_that_could_escape_the_output_directory_is_rejected(utterance_id):
+    text = f"ok\tx.wav\n# comment\n{utterance_id}\ty.wav\n"
+    with pytest.raises(ManifestError, match="line 3"):
+        parse_manifest(text)
+
+
+def test_ids_with_dots_and_dashes_are_accepted():
+    m = parse_manifest("spk1.utt-2_a\tx.wav\n.hidden\ty.wav\n")
+    assert [r.utterance_id for r in m.records] == ["spk1.utt-2_a", ".hidden"]
+
+
 def test_format_round_trip():
     text = "a\tx.wav\nb\ty.spfx\t50\n"
     assert format_manifest(parse_manifest(text)) == text
