@@ -17,6 +17,7 @@ from .errors import (
     EnumerationTooLargeError,
     FormatError,
     ManifestError,
+    MaskBoundsError,
     SpecmaskError,
 )
 from .features import DspConfig
@@ -269,7 +270,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError, FormatError, ManifestError, EmptyInputError, EnumerationTooLargeError, FileNotFoundError
+        ConfigError, FormatError, ManifestError, MaskBoundsError, EmptyInputError, EnumerationTooLargeError,
+        FileNotFoundError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

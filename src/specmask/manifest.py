@@ -1,4 +1,4 @@
-"""Utterance manifests: TAB-separated `id<TAB>path[<TAB>frames]` records.
+"""Utterance manifests: TAB-separated `id<TAB>path` records.
 
 Record order is significant and preserved through parsing and slicing.
 """
@@ -18,7 +18,6 @@ from .rng import RngState, uniform
 class ManifestRecord:
     utterance_id: str
     path: str
-    num_frames: int | None = None
 
 
 @dataclass(frozen=True)
@@ -46,41 +45,27 @@ def parse_manifest(text: str) -> Manifest:
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")
-        if len(fields) not in (2, 3):
-            raise ManifestError(f"line {lineno}: expected 2 or 3 tab-separated fields, got {len(fields)}")
-        utterance_id, path = fields[0], fields[1]
+        if len(fields) != 2:
+            raise ManifestError(f"line {lineno}: expected 2 tab-separated fields, got {len(fields)}")
+        utterance_id, path = fields
         if not utterance_id or not path:
             raise ManifestError(f"line {lineno}: empty id or path")
         if any(part in utterance_id for part in _UNSAFE_ID_PARTS):
             raise ManifestError(
                 f"line {lineno}: utterance id {utterance_id!r} contains a path separator, '..' or NUL"
             )
-        num_frames = None
-        if len(fields) == 3:
-            try:
-                num_frames = int(fields[2])
-            except ValueError:
-                raise ManifestError(f"line {lineno}: frame count {fields[2]!r} is not an integer") from None
-            if num_frames < 0:
-                raise ManifestError(f"line {lineno}: frame count must be nonnegative, got {num_frames}")
         if utterance_id in seen:
             raise ManifestError(
                 f"line {lineno}: duplicate utterance id {utterance_id!r} (first seen on line {seen[utterance_id]})"
             )
         seen[utterance_id] = lineno
-        records.append(ManifestRecord(utterance_id=utterance_id, path=path, num_frames=num_frames))
+        records.append(ManifestRecord(utterance_id=utterance_id, path=path))
     return Manifest(records=tuple(records))
 
 
 def format_manifest(manifest: Manifest) -> str:
     """Inverse of parse_manifest (modulo comments and blank lines)."""
-    lines = []
-    for rec in manifest.records:
-        if rec.num_frames is None:
-            lines.append(f"{rec.utterance_id}\t{rec.path}")
-        else:
-            lines.append(f"{rec.utterance_id}\t{rec.path}\t{rec.num_frames}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"{rec.utterance_id}\t{rec.path}\n" for rec in manifest.records)
 
 
 def slice_manifest(

@@ -10,7 +10,6 @@ parallelize across utterances.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,20 +98,13 @@ def sample_axis_masks(
     uniform on {0..extent-1} redrawn until it differs from every start already
     taken in this call.  The mask is clamped at the axis end, so its recorded
     length is min(width, extent - start).  A count above the extent is capped
-    (with a warning) since only `extent` distinct starts exist.
+    at the extent, since only `extent` distinct starts exist.
     """
     if extent < 1:
         raise ValueError(f"extent must be >= 1, got {extent}")
-    effective = min(count, extent)
-    if effective < count:
-        warnings.warn(
-            f"requested {count} {axis} masks but the axis has {extent} positions; capping at {extent}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     masks: list[MaskSpec] = []
     used: set[int] = set()
-    for _ in range(effective):
+    for _ in range(min(count, extent)):
         width, rng = uniform(rng, max_width + 1)
         start, rng = uniform(rng, extent)
         while start in used:
@@ -129,7 +121,7 @@ def sample_axis_masks_batch(
 
     Draw-for-draw equivalent to the scalar sampler: trial i consumes its
     stream exactly as sample_axis_masks would with RngState(states[i]).
-    Returns (starts, lengths) as (n_trials, effective_count) int64 arrays plus
+    Returns (starts, lengths) as (n_trials, min(count, extent)) int64 arrays plus
     the advanced states, always a fresh array except at count 0, where no
     state advances and the input states array itself is returned.
     """
@@ -138,12 +130,6 @@ def sample_axis_masks_batch(
     states = np.asarray(states, dtype=np.uint64)
     n = states.shape[0]
     effective = min(count, extent)
-    if effective < count:
-        warnings.warn(
-            f"requested {count} masks but the axis has {extent} positions; capping at {extent}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     starts = np.zeros((n, effective), dtype=np.int64)
     lengths = np.zeros((n, effective), dtype=np.int64)
     for i in range(effective):

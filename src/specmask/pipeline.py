@@ -85,14 +85,12 @@ def _process_one(
         features = standardize(features, stats)
     policy = config.effective_policy
     notes: list[str] = []
-    capped_time = min(policy.num_time_masks, features.num_frames)
-    if capped_time < policy.num_time_masks:
+    if policy.num_time_masks > features.num_frames:
         notes.append(
             f"{record.utterance_id}: requested {policy.num_time_masks} time masks "
             f"but only {features.num_frames} frames; capped"
         )
-    capped_freq = min(policy.num_freq_masks, features.num_channels)
-    if capped_freq < policy.num_freq_masks:
+    if policy.num_freq_masks > features.num_channels:
         notes.append(
             f"{record.utterance_id}: requested {policy.num_freq_masks} frequency masks "
             f"but only {features.num_channels} channels; capped"

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -58,9 +57,8 @@ class CorpusStats:
 
 @dataclass(frozen=True)
 class MaskFractionReport:
-    """Monte Carlo masked-position statistics, with the exact value when available."""
+    """Monte Carlo masked-position statistics."""
 
-    exact_mean_masked: float | None
     mc_mean: float
     mc_stderr: float
     trials: int
@@ -213,8 +211,7 @@ def monte_carlo_masked_mean(
         counts[first:last] = union_coverage(starts, lengths)
     mc_mean = float(counts.mean())
     mc_stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    exact = exact_masked_mean(max_width, extent) if min(count, extent) == 1 else None
-    return MaskFractionReport(exact_mean_masked=exact, mc_mean=mc_mean, mc_stderr=mc_stderr, trials=trials)
+    return MaskFractionReport(mc_mean=mc_mean, mc_stderr=mc_stderr, trials=trials)
 
 
 @dataclass(frozen=True)
@@ -253,11 +250,7 @@ def verify_grid(
                 reran = False
                 for attempt in range(2):
                     state = derive_utterance_seed(seed, f"verify:{extent}:{max_width}:{count}:{attempt}")
-                    with warnings.catch_warnings():
-                        # the grid deliberately includes capped cells; the
-                        # oracle caps identically, so the warning is expected
-                        warnings.simplefilter("ignore", RuntimeWarning)
-                        report = monte_carlo_masked_mean(max_width, count, extent, trials, RngState(state))
+                    report = monte_carlo_masked_mean(max_width, count, extent, trials, RngState(state))
                     passed = abs(report.mc_mean - exact) <= 3.0 * report.mc_stderr
                     if passed:
                         break

@@ -197,6 +197,21 @@ def test_render_without_masks(tmp_path):
     assert image.read_text(encoding="ascii").startswith("P2\n")
 
 
+def test_render_sidecar_that_does_not_fit_exits_2(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 1)
+    out = tmp_path / "out"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 0
+    frames = read_spfx(out / "utt000.spfx").num_frames
+    sidecar = tmp_path / "too-long.masks"
+    sidecar.write_text(f"time\t0\t{frames + 1}\n", encoding="utf-8")
+    image = tmp_path / "panel.pgm"
+    assert main([
+        "render", "--features", str(out / "utt000.spfx"), "--masks", str(sidecar), "--out", str(image),
+    ]) == 2
+    assert f"exceeds axis extent {frames}" in capsys.readouterr().err
+    assert not image.exists()
+
+
 def test_verify_grid_passes_at_reduced_trials(capsys):
     assert main(["verify", "--trials", "10000"]) == 0
     out = capsys.readouterr().out

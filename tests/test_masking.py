@@ -65,8 +65,7 @@ def test_max_width_zero_gives_zero_lengths():
 
 
 def test_count_capped_at_extent_with_permutation_starts():
-    with pytest.warns(RuntimeWarning, match="capping"):
-        masks, _ = sample_axis_masks(5, 9, 5, "time", RngState(4))
+    masks, _ = sample_axis_masks(5, 9, 5, "time", RngState(4))
     assert len(masks) == 5
     assert sorted(m.start for m in masks) == [0, 1, 2, 3, 4]
 
@@ -117,20 +116,12 @@ def test_batch_sampler_matches_scalar():
     rng = np.random.default_rng(7)
     for max_width, count, extent in [(0, 1, 1), (4, 1, 10), (6, 2, 12), (3, 4, 5), (5, 9, 5), (2, 2, 2)]:
         seeds = rng.integers(0, 2**64, size=200, dtype=np.uint64)
-        with pytest.warns(RuntimeWarning) if count > extent else _no_warning():
-            starts, lengths, states = sample_axis_masks_batch(max_width, count, extent, seeds)
+        starts, lengths, states = sample_axis_masks_batch(max_width, count, extent, seeds)
         for i, seed in enumerate(seeds.tolist()):
-            with pytest.warns(RuntimeWarning) if count > extent else _no_warning():
-                masks, final = sample_axis_masks(max_width, count, extent, "time", RngState(seed))
+            masks, final = sample_axis_masks(max_width, count, extent, "time", RngState(seed))
             assert [m.start for m in masks] == starts[i].tolist()
             assert [m.length for m in masks] == lengths[i].tolist()
             assert final.state == int(states[i])
-
-
-def _no_warning():
-    import contextlib
-
-    return contextlib.nullcontext()
 
 
 def test_batch_count_extent_permutations():

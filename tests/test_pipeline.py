@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -163,19 +164,42 @@ def test_cap_warning_recorded_in_summary(tmp_path):
     manifest = tmp_path / "m.tsv"
     manifest.write_text("short\tshort.wav\n", encoding="utf-8")
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        summary = run_pipeline(
-            RunConfig(
-                manifest_path=str(manifest),
-                output_dir=str(out),
-                policy=POLICY_PRESETS["libri-best"],
-                seed=2,
-                mode="train",
-            )
+    summary = run_pipeline(
+        RunConfig(
+            manifest_path=str(manifest),
+            output_dir=str(out),
+            policy=POLICY_PRESETS["libri-best"],
+            seed=2,
+            mode="train",
         )
+    )
     assert any("capped" in w for w in summary.warnings)
     masks = masks_from_text((out / "short.masks").read_text())
     assert sum(m.axis == "time" for m in masks) == 1
+
+
+def test_capped_utterances_raise_no_warning(tmp_path):
+    # one-frame utterances under ld-like: the summary note is the only report of the cap
+    for name in ("a", "b"):
+        write_wav(tmp_path / f"{name}.wav", np.ones(400) * 0.1, 16000)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\ta.wav\nb\tb.wav\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = run_pipeline(
+            RunConfig(
+                manifest_path=str(manifest),
+                output_dir=str(tmp_path / "out"),
+                policy=POLICY_PRESETS["ld-like"],
+                seed=3,
+                mode="train",
+            )
+        )
+    assert summary.utterances_processed == 2
+    assert summary.failures == []
+    assert summary.warnings == [
+        f"{name}: requested 2 time masks but only 1 frames; capped" for name in ("a", "b")
+    ]
 
 
 def test_run_config_validation():

@@ -244,12 +244,12 @@ def test_monte_carlo_zero_width():
     report = monte_carlo_masked_mean(0, 1, 10, 1000, RngState(1))
     assert report.mc_mean == 0.0
     assert report.mc_stderr == 0.0
-    assert report.exact_mean_masked == 0.0
+    assert exact_masked_mean(0, 10) == 0.0
 
 
 def test_monte_carlo_agrees_with_exact_single():
     report = monte_carlo_masked_mean(4, 1, 10, 1_000_000, RngState(2))
-    assert report.exact_mean_masked == 1.8
+    assert exact_masked_mean(4, 10) == 1.8
     assert abs(report.mc_mean - 1.8) < 3 * report.mc_stderr
     assert report.mc_stderr < 0.01
 
@@ -257,7 +257,6 @@ def test_monte_carlo_agrees_with_exact_single():
 def test_monte_carlo_agrees_with_exact_multi():
     exact = exact_masked_mean_multi(2, 2, 4)
     report = monte_carlo_masked_mean(2, 2, 4, 1_000_000, RngState(3))
-    assert report.exact_mean_masked is None  # only embedded for single masks
     assert abs(report.mc_mean - exact) < 3 * report.mc_stderr
 
 
