@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 on success, 1 when individual utterances failed (or a check
-failed), 2 on configuration/format errors.
+failed), 2 on configuration/format errors and on input or output paths that
+cannot be used.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .errors import (
@@ -23,7 +25,7 @@ from .errors import (
 from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import masks_from_text, resolve_policy
-from .pipeline import RECORD_ERRORS, RunConfig, RunSummary, load_features, parse_dsp_config, run_pipeline
+from .pipeline import RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
 from .render import render_masks_pgm
 from .spfx import read_spfx, write_stats_container
 from .stats import MIN_TRIALS, accumulate_stats, verify_grid
@@ -84,20 +86,9 @@ def _cmd_stats(args) -> int:
     manifest_path = Path(args.manifest)
     manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
     summary = RunSummary()
-
-    def loaded():
-        # the pipeline's failure policy: a record that fails is reported and skipped
-        for record in manifest.records:
-            try:
-                features = load_features(record, manifest_path.parent, dsp)
-            except RECORD_ERRORS as exc:
-                summary.failures.append((record.utterance_id, str(exc)))
-                continue
-            summary.utterances_processed += 1
-            yield features
-
+    task = partial(load_features, base_dir=manifest_path.parent, dsp=dsp)
     try:
-        stats = accumulate_stats(loaded())
+        stats = accumulate_stats(map_records(manifest.records, task, 1, summary))
     except EmptyInputError:
         _report_summary(summary, "accumulated 0 frames")  # say why no record loaded
         raise
@@ -270,8 +261,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError, FormatError, ManifestError, MaskBoundsError, EmptyInputError, EnumerationTooLargeError,
-        FileNotFoundError,
+        ConfigError, FormatError, ManifestError, MaskBoundsError, EmptyInputError, EnumerationTooLargeError, OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

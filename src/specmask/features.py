@@ -6,6 +6,7 @@ configuration always produce bit-identical feature matrices.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -83,6 +84,10 @@ class DspConfig:
     feature: str = "log_mel"
 
     def __post_init__(self) -> None:
+        for name in ("frame_len_ms", "frame_shift_ms", "log_floor", "fmin_hz", "fmax_hz"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 <= self.pre_emphasis < 1.0:
             raise ConfigError(f"pre_emphasis must be in [0, 1), got {self.pre_emphasis}")
         if self.frame_len_ms <= 0 or self.frame_shift_ms <= 0:

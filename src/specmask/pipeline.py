@@ -10,8 +10,11 @@ eval-mode output tree is byte-identical to a policy-none tree.
 from __future__ import annotations
 
 import typing
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, SpecmaskError
@@ -65,6 +68,31 @@ class RunSummary:
 RECORD_ERRORS = (SpecmaskError, OSError, ValueError)
 
 
+def map_records(records: Sequence[ManifestRecord], task: Callable, num_workers: int, summary: RunSummary) -> Iterator:
+    """Yield `task(record)` for every record, in manifest order.
+
+    A record whose task raises one of RECORD_ERRORS goes to `summary.failures`
+    and is skipped; every other record counts in `summary.utterances_processed`.
+    At one worker each task runs in the calling thread when its result is taken;
+    more workers run every record on a thread pool, submitted up front.
+    """
+
+    def attempt(record: ManifestRecord) -> tuple[bool, typing.Any]:
+        try:
+            return True, task(record)
+        except RECORD_ERRORS as exc:
+            return False, str(exc)
+
+    with ThreadPoolExecutor(max_workers=num_workers) if num_workers > 1 else nullcontext() as pool:
+        outcomes = pool.map(attempt, records) if pool else map(attempt, records)
+        for record, (ok, value) in zip(records, outcomes):
+            if not ok:
+                summary.failures.append((record.utterance_id, value))
+                continue
+            summary.utterances_processed += 1
+            yield value
+
+
 def load_features(record: ManifestRecord, base_dir: Path, dsp: DspConfig) -> FeatureMatrix:
     """The record's features: read from its `.spfx` file, or extracted from its WAV with `dsp`."""
     path = base_dir / record.path
@@ -113,21 +141,10 @@ def run_pipeline(config: RunConfig) -> RunSummary:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = RunSummary()
-    with ThreadPoolExecutor(max_workers=config.num_workers) as pool:
-        futures = [
-            pool.submit(_process_one, record, base_dir, out_dir, config, stats)
-            for record in manifest.records
-        ]
-        # merge in manifest order regardless of completion order
-        for record, future in zip(manifest.records, futures):
-            try:
-                num_masks, notes = future.result()
-            except RECORD_ERRORS as exc:
-                summary.failures.append((record.utterance_id, str(exc)))
-                continue
-            summary.utterances_processed += 1
-            summary.masks_drawn += num_masks
-            summary.warnings.extend(notes)
+    task = partial(_process_one, base_dir=base_dir, out_dir=out_dir, config=config, stats=stats)
+    for num_masks, notes in map_records(manifest.records, task, config.num_workers, summary):
+        summary.masks_drawn += num_masks
+        summary.warnings.extend(notes)
     return summary
 
 

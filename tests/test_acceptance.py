@@ -8,7 +8,6 @@ independent oracle coded in this file or in the library's oracle module.
 from __future__ import annotations
 
 import time
-import warnings
 
 import numpy as np
 
@@ -66,45 +65,41 @@ def test_criterion_03_identity_and_zero_only_edits():
     data_rng = np.random.default_rng(3)
     identity = AugmentPolicy(0, 0, 0, 0)
     ok = True
-    with warnings.catch_warnings():
-        # random policies may ask for more masks than the axis holds; the
-        # cap itself is one of the invariants checked below
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for i in range(iterations):
-            frames = int(data_rng.integers(1, 30))
-            channels = int(data_rng.integers(1, 24))
-            features = FeatureMatrix(data_rng.normal(size=(frames, channels)), 10.0, "log_mel")
-            policy = AugmentPolicy(
-                int(data_rng.integers(0, 7)),
-                int(data_rng.integers(0, 4)),
-                int(data_rng.integers(0, 9)),
-                int(data_rng.integers(0, 4)),
-            )
-            mask_rng = RngState(derive_utterance_seed(3, f"prop:{i}"))
+    for i in range(iterations):
+        frames = int(data_rng.integers(1, 30))
+        channels = int(data_rng.integers(1, 24))
+        features = FeatureMatrix(data_rng.normal(size=(frames, channels)), 10.0, "log_mel")
+        policy = AugmentPolicy(
+            int(data_rng.integers(0, 7)),
+            int(data_rng.integers(0, 4)),
+            int(data_rng.integers(0, 9)),
+            int(data_rng.integers(0, 4)),
+        )
+        mask_rng = RngState(derive_utterance_seed(3, f"prop:{i}"))
 
-            same, _, _ = augment(features, identity, mask_rng)
-            ok &= same.data.tobytes() == features.data.tobytes()
+        same, _, _ = augment(features, identity, mask_rng)
+        ok &= same.data.tobytes() == features.data.tobytes()
 
-            masked, masks, _ = augment(features, policy, mask_rng)
-            time_masks = [m for m in masks if m.axis == "time"]
-            freq_masks = [m for m in masks if m.axis == "frequency"]
-            ok &= len(time_masks) == min(policy.num_time_masks, frames)
-            ok &= len(freq_masks) == min(policy.num_freq_masks, channels)
-            ok &= len({m.start for m in time_masks}) == len(time_masks)
-            ok &= len({m.start for m in freq_masks}) == len(freq_masks)
+        masked, masks, _ = augment(features, policy, mask_rng)
+        time_masks = [m for m in masks if m.axis == "time"]
+        freq_masks = [m for m in masks if m.axis == "frequency"]
+        ok &= len(time_masks) == min(policy.num_time_masks, frames)
+        ok &= len(freq_masks) == min(policy.num_freq_masks, channels)
+        ok &= len({m.start for m in time_masks}) == len(time_masks)
+        ok &= len({m.start for m in freq_masks}) == len(freq_masks)
 
-            changed = masked.data != features.data
-            ok &= bool(np.all(masked.data[changed] == 0.0))
-            time_cover = np.zeros(frames, dtype=bool)
-            freq_cover = np.zeros(channels, dtype=bool)
-            for m in time_masks:
-                time_cover[m.start : m.start + m.length] = True
-            for m in freq_masks:
-                freq_cover[m.start : m.start + m.length] = True
-            declared = time_cover[:, None] | freq_cover[None, :]
-            ok &= not np.any(changed & ~declared)
-            if not ok:
-                break
+        changed = masked.data != features.data
+        ok &= bool(np.all(masked.data[changed] == 0.0))
+        time_cover = np.zeros(frames, dtype=bool)
+        freq_cover = np.zeros(channels, dtype=bool)
+        for m in time_masks:
+            time_cover[m.start : m.start + m.length] = True
+        for m in freq_masks:
+            freq_cover[m.start : m.start + m.length] = True
+        declared = time_cover[:, None] | freq_cover[None, :]
+        ok &= not np.any(changed & ~declared)
+        if not ok:
+            break
     _report(3, "identity + zero-only-edit property suite", ok, f"{iterations} random matrices/policies")
     assert ok
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from specmask.cli import main
-from specmask.features import DspConfig, extract, read_wav
+from specmask.features import DspConfig, FeatureMatrix, extract, read_wav
 from specmask.masking import masks_from_text
-from specmask.spfx import read_spfx, read_stats_container
+from specmask.spfx import read_spfx, read_stats_container, write_spfx
 from specmask.stats import accumulate_stats
 
 from conftest import build_corpus, tree_bytes
@@ -268,6 +268,48 @@ def test_missing_stats_exits_2_before_creating_the_output(tmp_path, capsys, comm
     out = tmp_path / "o"
     assert main([command, "--stats", str(tmp_path / "nope"), "--manifest", str(manifest), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+UNUSABLE_PATHS = {
+    "render-out-dir": ["render", "--features", "{spfx}", "--out", "{dir}"],
+    "render-features-dir": ["render", "--features", "{dir}", "--out", "{tmp}/x.pgm"],
+    "render-masks-dir": ["render", "--features", "{spfx}", "--masks", "{dir}", "--out", "{tmp}/x.pgm"],
+    "extract-out-file": ["extract", "--manifest", "{manifest}", "--out", "{file}"],
+    "stats-out-dir": ["stats", "--manifest", "{manifest}", "--out", "{dir}"],
+    "demo-out-dir": ["demo", "--epochs", "1", "--out", "{dir}"],
+    "slice-out-file": ["slice", "--manifest", "{manifest}", "--fractions", "1", "--out", "{file}"],
+    "config-dir": ["extract", "--config", "{dir}", "--manifest", "{manifest}", "--out", "{tmp}/o"],
+    "manifest-dir": ["extract", "--manifest", "{dir}", "--out", "{tmp}/o"],
+    "augment-stats-dir": ["augment", "--stats", "{dir}", "--manifest", "{manifest}", "--out", "{tmp}/o"],
+}
+
+
+@pytest.mark.parametrize("argv", UNUSABLE_PATHS.values(), ids=UNUSABLE_PATHS.keys())
+def test_unusable_path_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    manifest = build_corpus(tmp_path, 1)
+    spfx = tmp_path / "one.spfx"
+    write_spfx(FeatureMatrix(np.zeros((3, 4)), 10.0, "log_mel"), spfx)
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "a-file").write_text("not a directory\n", encoding="utf-8")
+    paths = {"tmp": tmp_path, "manifest": manifest, "spfx": spfx, "dir": tmp_path / "a-dir", "file": tmp_path / "a-file"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["frame_len_ms = inf", "frame_shift_ms = inf", "frame_len_ms = nan", "log_floor = nan", "fmin_hz = nan", "fmax_hz = inf"],
+)
+def test_non_finite_config_value_exits_2_before_creating_the_output(tmp_path, capsys, line):
+    manifest = build_corpus(tmp_path, 1)
+    config = tmp_path / "front-end.cfg"
+    config.write_text(line + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

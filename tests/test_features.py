@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -551,3 +552,10 @@ def test_dsp_config_validation():
         DspConfig(feature="plp")
     with pytest.raises(ConfigError):
         DspConfig(log_floor=0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", ["frame_len_ms", "frame_shift_ms", "log_floor", "fmin_hz", "fmax_hz"])
+def test_dsp_config_rejects_a_non_finite_value(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        DspConfig(**{name: value})

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -9,10 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specmask.errors import ConfigError
+from specmask.errors import ConfigError, FormatError
 from specmask.features import DspConfig
+from specmask.manifest import ManifestRecord
 from specmask.masking import POLICY_PRESETS, masks_from_text
-from specmask.pipeline import RunConfig, parse_dsp_config, run_pipeline
+from specmask.pipeline import RunConfig, RunSummary, map_records, parse_dsp_config, run_pipeline
 from specmask.spfx import read_spfx, write_stats_container
 from specmask.stats import CorpusStats
 
@@ -278,3 +280,63 @@ def test_parse_dsp_config_constraint_violation_propagates():
 
 def test_parse_dsp_config_empty_gives_defaults():
     assert parse_dsp_config("") == DspConfig()
+
+
+# ------------------------------------------------------------- record driver
+
+
+def _records(count: int) -> list[ManifestRecord]:
+    return [ManifestRecord(f"r{i}", f"r{i}.wav") for i in range(count)]
+
+
+def test_one_worker_runs_each_task_when_its_result_is_taken():
+    started = []
+
+    def task(record):
+        started.append(record.utterance_id)
+        return record.utterance_id
+
+    summary = RunSummary()
+    results = map_records(_records(4), task, 1, summary)
+    for i, result in enumerate(results):
+        assert result == f"r{i}"
+        assert started == [f"r{j}" for j in range(i + 1)]
+    assert summary.utterances_processed == 4
+
+
+def test_many_workers_merge_in_manifest_order():
+    records = _records(12)
+    failing = {"r2": ValueError("bad value"), "r5": OSError("no such file"), "r9": FormatError("bad magic")}
+    last_started = threading.Event()
+    finished = []
+    lock = threading.Lock()
+
+    def task(record):
+        if record.utterance_id == "r0":
+            # the first record finishes only after the last one has started
+            assert last_started.wait(timeout=10)
+        if record.utterance_id == "r11":
+            last_started.set()
+        with lock:
+            finished.append(record.utterance_id)
+        if record.utterance_id in failing:
+            raise failing[record.utterance_id]
+        return record.utterance_id.upper()
+
+    summary = RunSummary()
+    results = list(map_records(records, task, 8, summary))
+    assert finished[0] != "r0" and "r0" in finished
+    assert results == [r.utterance_id.upper() for r in records if r.utterance_id not in failing]
+    assert summary.failures == [("r2", "bad value"), ("r5", "no such file"), ("r9", "bad magic")]
+    assert summary.utterances_processed == 9
+
+
+@pytest.mark.parametrize("num_workers", [1, 8])
+def test_an_error_outside_the_failure_policy_escapes_the_driver(num_workers):
+    def task(record):
+        if record.utterance_id == "r3":
+            raise RuntimeError("bug")
+        return record.utterance_id
+
+    with pytest.raises(RuntimeError, match="bug"):
+        list(map_records(_records(6), task, num_workers, RunSummary()))
