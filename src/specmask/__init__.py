@@ -48,6 +48,7 @@ from .stats import (
     MaskFractionReport,
     accumulate_stats,
     exact_masked_mean,
+    exact_masked_mean_closed,
     exact_masked_mean_multi,
     monte_carlo_masked_mean,
     standardize,

@@ -92,12 +92,22 @@ def substream(seed: int, index: int) -> RngState:
 
 
 def next_u64_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized `next_u64` over a uint64 state array."""
+    """Vectorized `next_u64` over a uint64 state array.
+
+    Returns (outputs, successor states) as two fresh arrays; `states` is not
+    modified.  The mix runs in place with one reused shift buffer, so a call
+    allocates three arrays.
+    """
     with np.errstate(over="ignore"):
         s = states + _U_GOLDEN
-        z = (s ^ (s >> _S30)) * _U_MIX1
-        z = (z ^ (z >> _S27)) * _U_MIX2
-        z = z ^ (z >> _S31)
+        z = s >> _S30
+        z ^= s
+        z *= _U_MIX1
+        shifted = z >> _S27
+        z ^= shifted
+        z *= _U_MIX2
+        np.right_shift(z, _S31, out=shifted)
+        z ^= shifted
     return z, s
 
 
@@ -121,7 +131,12 @@ def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
             states[rejected] = s
             u[rejected] = redraw
             rejected[rejected] = redraw >= bound
-    u %= np.uint64(n)
+    # u - (u // n) * n is u % n for every uint64; numpy's uint64 floor division
+    # by a scalar is several times faster than its remainder
+    divisor = np.uint64(n)
+    quotient = u // divisor
+    quotient *= divisor
+    u -= quotient
     return (u if n > 1 << 63 else u.view(np.int64)), states
 
 

@@ -236,6 +236,19 @@ def test_demo_bad_training_argument_exits_2(tmp_path, capsys, flag, value):
     assert not curve_path.exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("command", ["verify", "demo"])
+def test_seed_outside_u64_exits_2(tmp_path, capsys, command, seed):
+    curve_path = tmp_path / "curve.csv"
+    rest = ["--trials", "200"] if command == "verify" else ["--epochs", "1", "--out", str(curve_path)]
+    assert main([command, "--seed", str(seed), *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+    assert "seed" in captured.err
+    assert "grid cells passed" not in captured.out
+    assert not curve_path.exists()
+
+
 def test_demo_writes_learning_curve(tmp_path, capsys):
     curve_path = tmp_path / "curve.csv"
     assert main(["demo", "--epochs", "5", "--seed", "3", "--out", str(curve_path)]) == 0

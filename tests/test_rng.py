@@ -125,6 +125,31 @@ def test_batch_next_matches_scalar_including_wraparound():
         assert int(succ[i]) == expected_state.state
 
 
+def test_batch_next_leaves_its_input_alone():
+    states = np.random.default_rng(4).integers(0, 2**64, size=256, dtype=np.uint64)
+    before = states.copy()
+    outs, succ = next_u64_batch(states)
+    assert np.array_equal(states, before)
+    assert outs is not states and succ is not states
+    assert not np.shares_memory(outs, states) and not np.shares_memory(succ, states)
+    assert not np.shares_memory(outs, succ)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 7, 2**32 + 1, 2**63 - 1, 2**63, 2**63 + 1, 3 * 2**62, 2**64 - 1]
+)
+def test_batch_uniform_is_the_remainder_of_the_accepted_draw(n):
+    states = np.random.default_rng(9).integers(0, 2**64, size=400, dtype=np.uint64)
+    values, _ = uniform_batch(states, n)
+    assert values.dtype == (np.uint64 if n > 2**63 else np.int64)
+    limit = (2**64 // n) * n
+    for value, s in zip(values.tolist(), states.tolist()):
+        u, state = reference_splitmix(s)
+        while u >= limit:
+            u, state = reference_splitmix(state)
+        assert value == u % n
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 13, 1000, 2**16, 3 * 2**62, 2**64 - 5])
 def test_batch_uniform_matches_scalar(n):
     rng = np.random.default_rng(5)  # only to pick arbitrary starting states

@@ -12,11 +12,13 @@ from specmask.errors import ConfigError, EmptyInputError, EnumerationTooLargeErr
 from specmask.features import FeatureMatrix
 from specmask.masking import sample_axis_masks_batch
 from specmask.rng import RngState, substream_batch
+from specmask import stats
 from specmask.stats import (
     MC_BLOCK_TRIALS,
     CorpusStats,
     accumulate_stats,
     exact_masked_mean,
+    exact_masked_mean_closed,
     exact_masked_mean_multi,
     monte_carlo_masked_mean,
     standardize,
@@ -184,6 +186,35 @@ def test_exact_multi_refuses_large_instances():
         exact_masked_mean_multi(6, 8, 12)
 
 
+def test_closed_form_equals_brute_force_on_every_feasible_cell():
+    compared = 0
+    for extent, max_width, count in itertools.product(range(1, 13), range(0, 7), range(1, 4)):
+        try:
+            brute = exact_masked_mean_multi(max_width, count, extent)
+        except EnumerationTooLargeError:
+            continue
+        assert exact_masked_mean_closed(max_width, count, extent) == brute, (extent, max_width, count)
+        compared += 1
+    assert compared == 252
+
+
+@pytest.mark.parametrize("max_width, count, extent", [(4, 0, 10), (0, 0, 1), (2, 5, 3), (3, 9, 4), (6, 2, 1)])
+def test_closed_form_zero_and_capped_counts(max_width, count, extent):
+    assert exact_masked_mean_closed(max_width, count, extent) == exact_masked_mean_multi(max_width, count, extent)
+
+
+def test_closed_form_covers_cells_the_brute_force_refuses():
+    with pytest.raises(EnumerationTooLargeError):
+        exact_masked_mean_multi(6, 8, 12)
+    value = exact_masked_mean_closed(6, 8, 12)
+    assert math.isfinite(value) and 0.0 < value < 12.0
+
+
+def test_closed_form_rejects_empty_axis():
+    with pytest.raises(ValueError):
+        exact_masked_mean_closed(3, 1, 0)
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 
@@ -238,6 +269,14 @@ def test_monte_carlo_blocks_match_one_pass():
     counts = dense_coverage(starts, lengths).astype(np.float64)
     assert report.mc_mean == float(counts.mean())
     assert report.mc_stderr == float(counts.std(ddof=1) / math.sqrt(trials))
+
+
+def test_monte_carlo_block_size_never_changes_the_report(monkeypatch):
+    reports = []
+    for block in (1 << 8, 1 << 14, 1 << 16):
+        monkeypatch.setattr(stats, "MC_BLOCK_TRIALS", block)
+        reports.append(monte_carlo_masked_mean(5, 2, 11, 40_000, RngState(31)))
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_monte_carlo_zero_width():
