@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import FormatError, MaskBoundsError
 from .features import FeatureMatrix
-from .rng import RngState, uniform, uniform_batch
+from .rng import MASK64, RngState, uniform, uniform_batch
 
 MASK_AXES = ("time", "frequency")
 
@@ -53,6 +53,9 @@ class AugmentPolicy:
         for name in ("max_freq_width", "num_freq_masks", "max_time_width", "num_time_masks"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("max_freq_width", "max_time_width"):
+            if getattr(self, name) > MASK64:  # a width draw has at most 2**64 outcomes
+                raise ValueError(f"{name} must be <= 2**64 - 1, got {getattr(self, name)}")
 
     @property
     def is_identity(self) -> bool:
@@ -121,31 +124,44 @@ def sample_axis_masks_batch(
 
     Draw-for-draw equivalent to the scalar sampler: trial i consumes its
     stream exactly as sample_axis_masks would with RngState(states[i]).
-    Returns (starts, lengths) as (n_trials, min(count, extent)) int64 arrays plus
-    the advanced states, always a fresh array except at count 0, where no
-    state advances and the input states array itself is returned.
+    Returns (starts, lengths) as (n_trials, min(count, extent)) int64 arrays,
+    column-major so each mask's column is contiguous, plus the advanced
+    states, always a fresh array except at count 0, where no state advances
+    and the input states array itself is returned.  Only the trials whose
+    start repeats an earlier one redraw, and they alone are carried through
+    the redraw loop.
     """
     if extent < 1:
         raise ValueError(f"extent must be >= 1, got {extent}")
     states = np.asarray(states, dtype=np.uint64)
-    n = states.shape[0]
     effective = min(count, extent)
-    starts = np.zeros((n, effective), dtype=np.int64)
-    lengths = np.zeros((n, effective), dtype=np.int64)
+    # row i is mask i of every trial; every cell is written below
+    starts = np.empty((effective, states.shape[0]), dtype=np.int64)
+    lengths = np.empty_like(starts)
     for i in range(effective):
         width, states = uniform_batch(states, max_width + 1)
         start, states = uniform_batch(states, extent)
         if i > 0:
-            dup = (start[:, None] == starts[:, :i]).any(axis=1)
-            while dup.any():
-                idx = np.flatnonzero(dup)
-                redraw, sub = uniform_batch(states[idx], extent)
-                states[idx] = sub
-                start[idx] = redraw
-                dup[idx] = (redraw[:, None] == starts[idx, :i]).any(axis=1)
-        starts[:, i] = start
-        lengths[:, i] = np.minimum(width, extent - start)
-    return starts, lengths, states
+            pending = np.flatnonzero(_repeats(start, starts[:i]))
+            while pending.size:
+                redraw, sub = uniform_batch(states[pending], extent)
+                states[pending] = sub
+                start[pending] = redraw
+                pending = pending[_repeats(redraw, starts[:i, pending])]
+        starts[i] = start
+        np.subtract(extent, start, out=lengths[i])
+        # unsafe: a uint64 width (max_width >= 2**63) takes the float loop,
+        # which is exact here because the result is at most extent
+        np.minimum(lengths[i], width, out=lengths[i], casting="unsafe")
+    return starts.T, lengths.T, states
+
+
+def _repeats(values: np.ndarray, taken: np.ndarray) -> np.ndarray:
+    """Where `values` equals the same column of any row of `taken`, one 1-D compare per row."""
+    hit = values == taken[0]
+    for row in taken[1:]:
+        hit |= values == row
+    return hit
 
 
 def sample_policy_masks(

@@ -8,6 +8,7 @@ on uint64 state arrays and are draw-for-draw identical to the scalar path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,9 +50,12 @@ def next_u64(rng: RngState) -> tuple[int, RngState]:
 
 
 def uniform(rng: RngState, n: int) -> tuple[int, RngState]:
-    """Draw an unbiased integer in [0, n) by rejection of the modulo-biased tail."""
-    if n < 1:
-        raise ValueError(f"uniform bound must be >= 1, got {n}")
+    """Draw an unbiased integer in [0, n) by rejection of the modulo-biased tail.
+
+    n must lie in [1, 2**64]: above that no 64-bit draw could be accepted.
+    """
+    if not 1 <= n <= 1 << 64:
+        raise ValueError(f"uniform bound must be in [1, 2**64], got {n}")
     limit = ((1 << 64) // n) * n  # == 2**64 when n divides 2**64: no rejection
     while True:
         u, rng = next_u64(rng)
@@ -98,8 +102,13 @@ def next_u64_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     modified.  The mix runs in place with one reused shift buffer, so a call
     allocates three arrays.
     """
+    s = states + _U_GOLDEN
+    return _mix(s), s
+
+
+def _mix(s: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function of the advanced states `s`, as a fresh array; `s` is not written."""
     with np.errstate(over="ignore"):
-        s = states + _U_GOLDEN
         z = s >> _S30
         z ^= s
         z *= _U_MIX1
@@ -108,7 +117,7 @@ def next_u64_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         z *= _U_MIX2
         np.right_shift(z, _S31, out=shifted)
         z ^= shifted
-    return z, s
+    return z
 
 
 def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -117,31 +126,48 @@ def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     Every state draws once in a single batch step; only the rejected ones
     (probability below n / 2**64 each) draw again.  `states` is not modified.
     Values come back as int64, or as uint64 when n > 2**63, where int64 could
-    not hold every draw.
+    not hold every draw.  n must lie in [1, 2**64], as for `uniform`.
     """
-    if n < 1:
-        raise ValueError(f"uniform bound must be >= 1, got {n}")
-    limit = ((1 << 64) // n) * n
+    if not 1 <= n <= 1 << 64:
+        raise ValueError(f"uniform bound must be in [1, 2**64], got {n}")
+    if n == 1:  # every draw is 0, so the states advance and nothing is mixed
+        return np.zeros(states.shape[0], dtype=np.int64), states + _U_GOLDEN
     u, states = next_u64_batch(states)
-    if limit <= MASK64:  # else n divides 2**64 and nothing is rejected
-        bound = np.uint64(limit)
-        rejected = u >= bound
-        while rejected.any():
-            redraw, s = next_u64_batch(states[rejected])
-            states[rejected] = s
-            u[rejected] = redraw
-            rejected[rejected] = redraw >= bound
-    # u - (u // n) * n is u % n for every uint64; numpy's uint64 floor division
-    # by a scalar is several times faster than its remainder
-    divisor = np.uint64(n)
-    quotient = u // divisor
-    quotient *= divisor
-    u -= quotient
+    if n & (n - 1) == 0:  # n divides 2**64: nothing is rejected, and u % n is a mask
+        if n < 1 << 64:
+            u &= np.uint64(n - 1)
+    else:
+        bound = np.uint64((1 << 64) // n * n)
+        if u.size and u.max() >= bound:  # one reduction; the mask is built only on a rejection
+            rejected = u >= bound
+            while rejected.any():
+                redraw, s = next_u64_batch(states[rejected])
+                states[rejected] = s
+                u[rejected] = redraw
+                rejected[rejected] = redraw >= bound
+        # u - (u // n) * n is u % n for every uint64; numpy's uint64 floor
+        # division by a scalar is several times faster than its remainder
+        divisor = np.uint64(n)
+        quotient = u // divisor
+        quotient *= divisor
+        u -= quotient
     return (u if n > 1 << 63 else u.view(np.int64)), states
 
 
-def substream_batch(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized `substream` for an int64/uint64 index array."""
-    z, _ = next_u64_batch(indices.astype(np.uint64))
-    out, _ = next_u64_batch(z ^ np.uint64(seed & MASK64))
-    return out
+@lru_cache(maxsize=64)
+def _scrambled_indices(first: int, last: int) -> np.ndarray:
+    """The index half of `substream` for indices first..last-1, built once per range and shared read-only."""
+    z, _ = next_u64_batch(np.arange(first, last, dtype=np.uint64))
+    z.setflags(write=False)
+    return z
+
+
+def substream_batch(seed: int, first: int, last: int) -> np.ndarray:
+    """Vectorized `substream`: the states of child streams first..last-1 of `seed`.
+
+    The scrambled indices do not depend on the seed and are cached, so each
+    call costs one xor and one mix.
+    """
+    s = _scrambled_indices(first, last) ^ np.uint64(seed & MASK64)
+    s += _U_GOLDEN
+    return _mix(s)

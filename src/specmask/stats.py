@@ -203,22 +203,30 @@ def union_coverage(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Positions covered by the union of each row's intervals [start, start + length).
 
     Interval arithmetic: sorts each row's intervals by start, carrying their
-    ends along, keeps a running max of the ends, and adds the part of every
-    interval that reaches past it.  Positions must be below 2**31.  Returns
-    one int64 count per row.
+    ends along, counts the first one whole, and then adds the part of every
+    later interval that reaches past the running max of the ends before it.
+    Positions must be at most 2**31.  Returns one int64 count per row.
     """
-    # one int64 key per interval, start in the high half, so a compare-exchange
-    # moves the end with its start; work column by column over all rows at once
-    keys = [(start << 32) | (start + length) for start, length in zip(starts.T, lengths.T)]
+    # one int64 key per interval, start in the high half and end in the low
+    # one, so a compare-exchange moves the end with its start; start * (2**32 + 1)
+    # + length is (start << 32) | (start + length) in one pass fewer.  Work
+    # column by column over all rows at once
+    keys = [start * (1 << 32 | 1) + length for start, length in zip(starts.T, lengths.T)]
+    if not keys:
+        return np.zeros(starts.shape[0], dtype=np.int64)
     for i in range(1, len(keys)):  # insertion-sort network over the columns
         for j in range(i, 0, -1):
             keys[j - 1], keys[j] = np.minimum(keys[j - 1], keys[j]), np.maximum(keys[j - 1], keys[j])
-    covered = np.zeros(starts.shape[0], dtype=np.int64)
-    reach = 0
-    for key in keys:
-        start, end = key >> 32, key & 0xFFFFFFFF
-        covered += np.maximum(end - np.maximum(start, reach), 0)
-        reach = np.maximum(reach, end)
+    reach = keys[0] & 0xFFFFFFFF
+    covered = reach - (keys[0] >> 32)
+    for key in keys[1:]:
+        # the interval adds max(end, reach) - max(start, reach), which is 0 when
+        # it ends inside the reach; the first max is also the new reach
+        start = key >> 32
+        np.maximum(start, reach, out=start)
+        np.maximum(key & 0xFFFFFFFF, reach, out=reach)
+        covered += reach
+        covered -= start
     return covered
 
 
@@ -230,14 +238,17 @@ def monte_carlo_masked_mean(
     Each trial gets its own substream derived from (rng.state, trial index),
     so results do not depend on how trials are batched; they are drawn and
     counted in blocks of MC_BLOCK_TRIALS to bound memory.  Standard error is
-    the sample standard deviation over trials divided by sqrt(trials).
+    the sample standard deviation over trials divided by sqrt(trials).  The
+    extent may be at most 2**31, the bound of union_coverage.
     """
     if trials < MIN_TRIALS:
         raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
+    if extent > 1 << 31:
+        raise ValueError(f"extent must be <= 2**31 for the coverage count, got {extent}")
     counts = np.empty(trials)
     for first in range(0, trials, MC_BLOCK_TRIALS):
         last = min(first + MC_BLOCK_TRIALS, trials)
-        states = substream_batch(rng.state, np.arange(first, last))
+        states = substream_batch(rng.state, first, last)
         starts, lengths = sample_axis_masks_batch(max_width, count, extent, states)[:2]
         del states  # only the masks are needed from here on
         counts[first:last] = union_coverage(starts, lengths)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from specmask.render import render_masks_pgm
 from specmask.rng import RngState, derive_utterance_seed
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+SRC_DIR = Path(__file__).parent.parent / "src"
 GOLDEN_SEED = 20260814
 FIGURE_POLICIES = (
     ("none", AugmentPolicy(0, 0, 0, 0)),
@@ -61,6 +65,22 @@ def build_corpus(root: Path, count: int, seconds: float = 0.2) -> Path:
     manifest = root / "manifest.tsv"
     manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return manifest
+
+
+def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run `python args...` against this checkout's package in a child process.
+
+    For calls that could loop forever: the timeout kills the child and fails
+    the test instead of hanging the suite.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def tree_bytes(out_dir: Path) -> dict[str, bytes]:

@@ -13,7 +13,7 @@ from specmask.masking import masks_from_text
 from specmask.spfx import read_spfx, read_stats_container, write_spfx
 from specmask.stats import accumulate_stats
 
-from conftest import build_corpus, tree_bytes
+from conftest import build_corpus, run_python, tree_bytes
 
 
 def test_extract_writes_features_and_empty_sidecars(tmp_path, capsys):
@@ -339,6 +339,30 @@ def test_bad_policy_string_exits_2(tmp_path, capsys):
         "augment", "--policy", "1,2,3", "--manifest", str(manifest), "--out", str(tmp_path / "o"),
     ]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_policy_width_above_2_64_exits_2_instead_of_hanging(tmp_path):
+    # a max width of 2**65 makes the draw bound n = 2**65 + 1, whose rejection
+    # limit (2**64 // n) * n is 0, so no draw is ever accepted; the child
+    # process keeps a regression from hanging the suite
+    manifest = build_corpus(tmp_path, 1, seconds=1.0)
+    result = run_python([
+        "-m", "specmask.cli", "augment", "--policy", f"0,0,{2**65},1",
+        "--manifest", str(manifest), "--out", str(tmp_path / "o"),
+    ])
+    assert result.returncode == 2
+    assert result.stderr.count("error:") == 1
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_policy_width_2_64_minus_1_augments(tmp_path):
+    manifest = build_corpus(tmp_path, 1, seconds=1.0)
+    out = tmp_path / "o"
+    assert main([
+        "augment", "--policy", f"0,0,{2**64 - 1},1", "--manifest", str(manifest), "--out", str(out),
+    ]) == 0
+    assert (out / "utt000.spfx").exists()
 
 
 def test_missing_wav_is_per_utterance_failure(tmp_path, capsys):

@@ -58,6 +58,15 @@ def test_policy_validation():
     assert not POLICY_PRESETS["libri-best"].is_identity
 
 
+@pytest.mark.parametrize("field", ["max_freq_width", "max_time_width"])
+def test_policy_width_must_fit_a_64_bit_draw(field):
+    assert getattr(AugmentPolicy(**{field: 2**64 - 1}), field) == 2**64 - 1
+    with pytest.raises(ValueError, match="2\\*\\*64 - 1"):
+        AugmentPolicy(**{field: 2**64})
+    with pytest.raises(FormatError):
+        resolve_policy(f"0,0,{2**65},1" if field == "max_time_width" else f"{2**65},1,0,0")
+
+
 def test_max_width_zero_gives_zero_lengths():
     masks, _ = sample_axis_masks(0, 5, 10, "time", RngState(3))
     assert len(masks) == 5
@@ -114,7 +123,14 @@ def test_extent_must_be_positive():
 
 def test_batch_sampler_matches_scalar():
     rng = np.random.default_rng(7)
-    for max_width, count, extent in [(0, 1, 1), (4, 1, 10), (6, 2, 12), (3, 4, 5), (5, 9, 5), (2, 2, 2)]:
+    shapes = [
+        (0, 1, 1), (4, 1, 10), (6, 2, 12), (3, 4, 5), (5, 9, 5), (2, 2, 2),
+        (0, 2, 6), (5, 3, 1),  # width bound 1, extent 1: draws that are always 0
+        (1, 2, 4), (3, 2, 8), (7, 3, 16),  # power-of-two width bounds and extents
+        (4, 3, 2), (6, 3, 3),  # long redraw loops: k = 3 on extents 2 and 3
+        (2**64 - 1, 2, 6),  # the largest width bound, uint64 widths
+    ]
+    for max_width, count, extent in shapes:
         seeds = rng.integers(0, 2**64, size=200, dtype=np.uint64)
         starts, lengths, states = sample_axis_masks_batch(max_width, count, extent, seeds)
         for i, seed in enumerate(seeds.tolist()):
@@ -139,7 +155,7 @@ def test_width_draws_are_uniform_chi_square():
     n = 7
     trials = 1_000_000
     extent = 10**6
-    states = substream_batch(31337, np.arange(trials))
+    states = substream_batch(31337, 0, trials)
     starts, lengths, _ = sample_axis_masks_batch(n - 1, 1, extent, states)
     # keep only draws where no width would clamp; start is independent of
     # width, so the surviving widths stay uniform

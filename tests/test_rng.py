@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from specmask import rng as rng_module
 from specmask.rng import (
     MASK64,
     RngState,
@@ -17,6 +18,9 @@ from specmask.rng import (
     uniform,
     uniform_batch,
 )
+from specmask.stats import MC_BLOCK_TRIALS
+
+from conftest import run_python
 
 
 def reference_splitmix(state: int) -> tuple[int, int]:
@@ -150,15 +154,25 @@ def test_batch_uniform_is_the_remainder_of_the_accepted_draw(n):
         assert value == u % n
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 13, 1000, 2**16, 3 * 2**62, 2**64 - 5])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 4, 7, 8, 12, 13, 1000, 2**16, 2**32, 2**63, 3 * 2**62, 2**64 - 5, 2**64]
+)
 def test_batch_uniform_matches_scalar(n):
     rng = np.random.default_rng(5)  # only to pick arbitrary starting states
     states = rng.integers(0, 2**64, size=300, dtype=np.uint64)
     values, succ = uniform_batch(states, n)
+    assert values.dtype == (np.uint64 if n > 2**63 else np.int64)
+    assert succ.dtype == np.uint64
     for i, s in enumerate(states.tolist()):
         expected_value, expected_state = uniform(RngState(s), n)
         assert int(values[i]) == expected_value
         assert int(succ[i]) == expected_state.state
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 2**64])
+def test_batch_uniform_of_no_states(n):
+    values, succ = uniform_batch(np.empty(0, dtype=np.uint64), n)
+    assert values.shape == succ.shape == (0,)
 
 
 def test_batch_uniform_exercises_rejection():
@@ -195,10 +209,41 @@ def test_batch_uniform_leaves_caller_states_alone(n):
 
 def test_substream_batch_matches_scalar():
     seed = 77
-    indices = np.arange(50, dtype=np.int64)
-    states = substream_batch(seed, indices)
+    states = substream_batch(seed, 0, 50)
     for i in range(50):
         assert int(states[i]) == substream(seed, i).state
+
+
+def test_substream_batch_across_a_block_boundary_and_its_read_only_cache():
+    seed = 2**64 - 3
+    first, last = MC_BLOCK_TRIALS - 40, MC_BLOCK_TRIALS + 40
+    states = substream_batch(seed, first, last)
+    assert states.dtype == np.uint64
+    assert [int(s) for s in states] == [substream(seed, i).state for i in range(first, last)]
+    scrambled = rng_module._scrambled_indices(first, last)
+    assert not scrambled.flags.writeable
+    with pytest.raises(ValueError):
+        scrambled[0] = 0
+    # the caller's states are its own: writing them leaves the cache and the next call alone
+    assert not np.shares_memory(states, scrambled)
+    states[:] = 0
+    assert [int(s) for s in substream_batch(seed, first, last)] == [
+        substream(seed, i).state for i in range(first, last)
+    ]
+
+
+@pytest.mark.parametrize("call", ["uniform(RngState(1), 2**64 + 1)", "uniform_batch(np.ones(4, np.uint64), 2**65)"])
+def test_uniform_bound_above_2_64_raises_instead_of_looping(call):
+    # above 2**64 the rejection limit (2**64 // n) * n is 0, so no draw is
+    # ever accepted; the child process keeps a regression from hanging the suite
+    code = (
+        "import numpy as np\n"
+        "from specmask.rng import RngState, uniform, uniform_batch\n"
+        f"try:\n    {call}\nexcept ValueError as exc:\n    print('ValueError', exc)\n"
+    )
+    result = run_python(["-c", code])
+    assert result.stdout.startswith("ValueError"), result.stderr
+    assert "2**64" in result.stdout
 
 
 def test_substreams_are_decorrelated():

@@ -264,7 +264,7 @@ def test_union_coverage_matches_dense_reference(k):
 def test_monte_carlo_blocks_match_one_pass():
     max_width, count, extent, trials, seed = 3, 2, 8, MC_BLOCK_TRIALS + 1, 12
     report = monte_carlo_masked_mean(max_width, count, extent, trials, RngState(seed))
-    states = substream_batch(seed, np.arange(trials))
+    states = substream_batch(seed, 0, trials)
     starts, lengths, _ = sample_axis_masks_batch(max_width, count, extent, states)
     counts = dense_coverage(starts, lengths).astype(np.float64)
     assert report.mc_mean == float(counts.mean())
@@ -297,6 +297,24 @@ def test_monte_carlo_agrees_with_exact_multi():
     exact = exact_masked_mean_multi(2, 2, 4)
     report = monte_carlo_masked_mean(2, 2, 4, 1_000_000, RngState(3))
     assert abs(report.mc_mean - exact) < 3 * report.mc_stderr
+
+
+def test_monte_carlo_rejects_extents_the_coverage_count_cannot_pack():
+    with pytest.raises(ValueError, match=r"2\*\*31"):
+        monte_carlo_masked_mean(3, 2, 2**31 + 1, 2000, RngState(1))
+
+
+def test_monte_carlo_at_the_largest_extent():
+    # one mask of width 0..3 almost never clamps on 2**31 positions: mean 1.5
+    report = monte_carlo_masked_mean(3, 1, 2**31, 2000, RngState(1))
+    assert abs(report.mc_mean - 1.5) <= 4 * report.mc_stderr
+
+
+def test_monte_carlo_at_the_largest_width_bound():
+    # width bound 2**64: uint64 width draws, which clamp at the axis end
+    exact = exact_masked_mean_closed(2**64 - 1, 2, 10)
+    report = monte_carlo_masked_mean(2**64 - 1, 2, 10, 20_000, RngState(4))
+    assert abs(report.mc_mean - exact) <= 4 * report.mc_stderr
 
 
 def test_monte_carlo_requires_trials():
