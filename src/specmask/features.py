@@ -12,12 +12,17 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, EmptyInputError, FormatError, UnsupportedFormatError
 
 #: Legal values of FeatureMatrix.kind.
 FEATURE_KINDS = ("log_mel", "mfcc", "standardized_log_mel", "standardized_mfcc")
+
+#: Frames that `extract` windows and transforms together.  Results do not
+#: depend on it; 16 and 32 ran slower, 128 and 512 about as fast
+#: (`BENCH_frontend_blocks.json` has the sweep).
+FRAME_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -140,9 +145,10 @@ DSP_PRESETS = {
 def read_wav(path) -> PcmSignal:
     """Decode a RIFF/WAVE file holding 16-bit mono PCM.
 
-    Samples are scaled by 1/32768.  Malformed containers raise FormatError;
-    well-formed files with an unsupported encoding raise UnsupportedFormatError
-    naming the offending header field.
+    Samples are scaled by 1/32768, which is 2**-15, so one multiply is exact.
+    Malformed containers raise FormatError; well-formed files with an
+    unsupported encoding raise UnsupportedFormatError naming the offending
+    header field.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -151,13 +157,14 @@ def read_wav(path) -> PcmSignal:
     if raw[8:12] != b"WAVE":
         raise FormatError(f"{path}: RIFF form type is not WAVE (byte offset 8)")
 
+    view = memoryview(raw)  # chunk bodies are sliced from it without a copy
     fmt = None
     data = None
     pos = 12
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if len(body) < chunk_size:
             raise FormatError(f"{path}: chunk {chunk_id!r} at byte offset {pos} is truncated")
         if chunk_id == b"fmt ":
@@ -186,7 +193,7 @@ def read_wav(path) -> PcmSignal:
     if len(data) % 2:
         raise FormatError(f"{path}: data chunk length {len(data)} is not a multiple of 2")
 
-    samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.multiply(np.frombuffer(data, dtype="<i2"), 1.0 / 32768.0, dtype=np.float64)
     return PcmSignal(samples=samples, sample_rate=sample_rate)
 
 
@@ -202,32 +209,59 @@ def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
     return out
 
 
-def frame_and_window(signal: PcmSignal, cfg: DspConfig) -> np.ndarray:
-    """Pre-emphasize, slice into Hamming-windowed frames, zero-pad to the FFT size.
+def _frame_geometry(signal: PcmSignal, cfg: DspConfig) -> tuple[int, int, int, int]:
+    """(frame_len, step, n_fft, num_frames) of `signal` under `cfg`.
 
-    The last partial frame is dropped.  Returns a (num_frames, n_fft) float64
-    array; raises EmptyInputError when the signal is shorter than one frame.
+    The last partial frame is dropped; raises EmptyInputError when the signal
+    is shorter than one frame.
     """
     frame_len = cfg.frame_length(signal.sample_rate)
     step = cfg.frame_step(signal.sample_rate)
-    n_fft = cfg.fft_size(signal.sample_rate)
-    emphasized = pre_emphasize(signal.samples, cfg.pre_emphasis)
-    if emphasized.size < frame_len:
-        raise EmptyInputError(
-            f"signal of {emphasized.size} samples is shorter than one {frame_len}-sample frame"
-        )
-    num_frames = (emphasized.size - frame_len) // step + 1
+    size = signal.samples.size
+    if size < frame_len:
+        raise EmptyInputError(f"signal of {size} samples is shorter than one {frame_len}-sample frame")
+    return frame_len, step, cfg.fft_size(signal.sample_rate), (size - frame_len) // step + 1
+
+
+def frame_and_window(
+    signal: PcmSignal, cfg: DspConfig, first: int = 0, last: int | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Pre-emphasize, slice into Hamming-windowed frames, zero-pad to the FFT size.
+
+    The last partial frame is dropped.  Returns frames first..last-1 (all of
+    them by default) as a (last - first, n_fft) float64 array; raises
+    EmptyInputError when the signal is shorter than one frame.  With `out`, a
+    float64 array of at least last - first rows and n_fft columns, the
+    windowed samples are written into the first frame_len columns of its
+    leading rows and that view of `out` is returned; the padding columns are
+    left as they are, so a buffer zeroed once serves every block.  Only the
+    samples those frames cover are pre-emphasized, with the same bytes as
+    emphasizing the whole signal.
+    """
+    frame_len, step, n_fft, num_frames = _frame_geometry(signal, cfg)
+    last = num_frames if last is None else last
+    if not 0 <= first < last <= num_frames:
+        raise ValueError(f"frames {first}..{last - 1} are not within the signal's {num_frames} frames")
+    lo = first * step
+    before = 1 if lo else 0  # y[lo] needs x[lo - 1]; its own output is dropped
+    emphasized = pre_emphasize(signal.samples[lo - before : (last - 1) * step + frame_len], cfg.pre_emphasis)
+    stride = emphasized.strides[0]
+    strided = as_strided(emphasized[before:], (last - first, frame_len), (step * stride, stride), writeable=False)
     # window each strided frame straight into the zero-padded buffer rfft reads
-    frames = np.zeros((num_frames, n_fft))
-    strided = sliding_window_view(emphasized, frame_len)[::step]
+    frames = np.zeros((last - first, n_fft)) if out is None else out[: last - first]
     np.multiply(strided, _constant(np.hamming, frame_len), out=frames[:, :frame_len])
     return frames
 
 
-def power_spectrum(frames: np.ndarray) -> np.ndarray:
-    """One-sided power spectrum |DFT_k|^2 per frame, bins 0..n_fft/2."""
+def power_spectrum(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One-sided power spectrum |DFT_k|^2 per frame, bins 0..n_fft/2.
+
+    With `out`, a float64 (num_frames, n_fft/2+1) array, the power is written
+    there and `out` is returned.
+    """
     frames = np.asarray(frames, dtype=np.float64)
-    power = np.abs(np.fft.rfft(frames, axis=1)) ** 2
+    power = np.abs(np.fft.rfft(frames, axis=1), out=out)
+    np.square(power, out=power)
     if not np.all(np.isfinite(power)):
         raise ValueError("power spectrum is not finite; check the input frames")
     return power
@@ -311,9 +345,21 @@ def mfcc_from_logmel(logmel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
 
 
 def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
-    """Full front end: frame/window -> power spectrum -> log-mel -> optional MFCC."""
-    frames = frame_and_window(signal, cfg)
-    power = power_spectrum(frames)
+    """Full front end: frame/window -> power spectrum -> log-mel -> optional MFCC.
+
+    Frames are windowed and transformed FRAME_BLOCK at a time through one
+    buffer, so neither the whole frame matrix nor the whole complex spectrum is
+    ever built; mel, log and DCT then run once on the whole power matrix.  The
+    bytes equal `power_spectrum(frame_and_window(...))` followed by the same
+    steps.
+    """
+    _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
+    block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
+    power = np.empty((num_frames, n_fft // 2 + 1))
+    for first in range(0, num_frames, FRAME_BLOCK):
+        last = min(first + FRAME_BLOCK, num_frames)
+        power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first:last])
+    del block
     logmel = mel_energies(power, cfg, signal.sample_rate)
     if cfg.feature == "mfcc":
         return mfcc_from_logmel(logmel, cfg.effective_n_coeffs())

@@ -154,12 +154,26 @@ def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return (u if n > 1 << 63 else u.view(np.int64)), states
 
 
-@lru_cache(maxsize=64)
-def _scrambled_indices(first: int, last: int) -> np.ndarray:
-    """The index half of `substream` for indices first..last-1, built once per range and shared read-only."""
+def _scramble(first: int, last: int) -> np.ndarray:
+    """The index half of `substream` for indices first..last-1, read-only."""
     z, _ = next_u64_batch(np.arange(first, last, dtype=np.uint64))
     z.setflags(write=False)
     return z
+
+
+_cached_scramble = lru_cache(maxsize=64)(_scramble)
+
+
+def _scrambled_indices(first: int, last: int) -> np.ndarray:
+    """`_scramble`, cached for ranges of at most 2**14 indices that end by 2**20.
+
+    Those are the Monte Carlo blocks of the first 2**20 trials: all 64 fit in
+    the cache (8 MiB), so a walk over more blocks, in the same order every
+    cell, keeps its first 64 instead of evicting each before its reuse.
+    """
+    if last <= 1 << 20 and last - first <= 1 << 14:
+        return _cached_scramble(first, last)
+    return _scramble(first, last)
 
 
 def substream_batch(seed: int, first: int, last: int) -> np.ndarray:

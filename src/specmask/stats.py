@@ -199,35 +199,51 @@ def exact_masked_mean_closed(max_width: int, count: int, extent: int) -> float:
     return (extent * denominator - uncovered) / denominator
 
 
+def _as_uint64(values: np.ndarray) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64).view(np.uint64)
+
+
 def union_coverage(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Positions covered by the union of each row's intervals [start, start + length).
 
     Interval arithmetic: sorts each row's intervals by start, carrying their
     ends along, counts the first one whole, and then adds the part of every
     later interval that reaches past the running max of the ends before it.
-    Positions must be at most 2**31.  Returns one int64 count per row.
+    Starts and lengths must be nonnegative int64, which is not checked; an end
+    past 2**31 raises ValueError.  Returns one int64 count per row.
     """
-    # one int64 key per interval, start in the high half and end in the low
-    # one, so a compare-exchange moves the end with its start; start * (2**32 + 1)
-    # + length is (start << 32) | (start + length) in one pass fewer.  Work
-    # column by column over all rows at once
-    keys = [start * (1 << 32 | 1) + length for start, length in zip(starts.T, lengths.T)]
+    # one uint64 key per interval, start in the high half and end in the low
+    # one, so a compare-exchange moves the end with its start.  uint64 sums of
+    # nonnegative int64s cannot wrap, so the ends' maxima check every position.
+    # Work column by column over all rows at once
+    keys, top = [], 0
+    for start, length in zip(_as_uint64(starts).T, _as_uint64(lengths).T):
+        key = start + length  # the end
+        top = max(top, int(key.max(initial=0)))
+        key |= start << 32
+        keys.append(key)
+    if top > 1 << 31:
+        raise ValueError(f"union_coverage positions must be at most 2**31, got an end of {top}")
     if not keys:
         return np.zeros(starts.shape[0], dtype=np.int64)
     for i in range(1, len(keys)):  # insertion-sort network over the columns
         for j in range(i, 0, -1):
             keys[j - 1], keys[j] = np.minimum(keys[j - 1], keys[j]), np.maximum(keys[j - 1], keys[j])
-    reach = keys[0] & 0xFFFFFFFF
-    covered = reach - (keys[0] >> 32)
+    # the keys are this call's own arrays, so they are unpacked in place
+    covered = keys[0] >> 32
+    reach = keys[0]
+    reach &= 0xFFFFFFFF
+    np.subtract(reach, covered, out=covered)
     for key in keys[1:]:
         # the interval adds max(end, reach) - max(start, reach), which is 0 when
         # it ends inside the reach; the first max is also the new reach
         start = key >> 32
         np.maximum(start, reach, out=start)
-        np.maximum(key & 0xFFFFFFFF, reach, out=reach)
+        key &= 0xFFFFFFFF
+        np.maximum(key, reach, out=reach)
         covered += reach
         covered -= start
-    return covered
+    return covered.view(np.int64)
 
 
 def monte_carlo_masked_mean(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from specmask.errors import ConfigError, EmptyInputError, FormatError, UnsupportedFormatError
 from specmask.features import (
     DSP_PRESETS,
+    FRAME_BLOCK,
     DspConfig,
     FeatureMatrix,
     PcmSignal,
@@ -276,6 +278,15 @@ def test_power_spectrum_rejects_nonfinite():
     frames[0, 0] = np.inf
     with pytest.raises(ValueError):
         power_spectrum(frames)
+    with pytest.raises(ValueError):
+        power_spectrum(frames, out=np.empty((1, 5)))
+
+
+def test_power_spectrum_fills_and_returns_out():
+    frames = np.random.default_rng(2).normal(size=(6, 64))
+    buf = np.full((6, 33), np.nan)
+    assert power_spectrum(frames, out=buf) is buf
+    assert buf.tobytes() == power_spectrum(frames).tobytes()
 
 
 # -------------------------------------------------------------- mel and DCT
@@ -468,7 +479,9 @@ _BIT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_BIT_CASES))
-@pytest.mark.parametrize("length", ["one-frame", "one-frame+1", "ragged", "30s"])
+@pytest.mark.parametrize(
+    "length", ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s"]
+)
 def test_front_end_is_bit_identical_to_the_plain_route(case, length):
     cfg, rate = _BIT_CASES[case]
     frame_len, step = cfg.frame_length(rate), cfg.frame_step(rate)
@@ -476,6 +489,11 @@ def test_front_end_is_bit_identical_to_the_plain_route(case, length):
         "one-frame": frame_len,
         "one-frame+1": frame_len + 1,
         "ragged": frame_len + 7 * step + step // 3,  # 8 frames plus a dropped tail
+        # extract's frame blocks: one short of a block, one, one over, two over
+        "block-1": frame_len + (FRAME_BLOCK - 2) * step,
+        "block": frame_len + (FRAME_BLOCK - 1) * step,
+        "block+1": frame_len + FRAME_BLOCK * step,
+        "2block+1": frame_len + 2 * FRAME_BLOCK * step,
         "30s": 30 * rate,
     }[length]
     signal = noise_signal(num_samples, rate)
@@ -487,6 +505,46 @@ def test_front_end_is_bit_identical_to_the_plain_route(case, length):
     expected = reference_extract(signal, cfg)
     assert features.data.shape == expected.shape
     assert features.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_BIT_CASES))
+def test_frame_ranges_are_rows_of_the_whole_matrix(case):
+    cfg, rate = _BIT_CASES[case]
+    signal = noise_signal(cfg.frame_length(rate) + 150 * cfg.frame_step(rate) + 3, rate)
+    whole = frame_and_window(signal, cfg)
+    num_frames, n_fft = whole.shape
+    buffer = np.zeros((FRAME_BLOCK + 1, n_fft))
+    for first, last in [(0, 1), (0, FRAME_BLOCK), (1, 2), (37, 37 + FRAME_BLOCK), (num_frames - 5, num_frames)]:
+        assert frame_and_window(signal, cfg, first, last).tobytes() == whole[first:last].tobytes()
+        frames = frame_and_window(signal, cfg, first, last, out=buffer)
+        assert frames.base is buffer and frames.shape == (last - first, n_fft)
+        assert frames.tobytes() == whole[first:last].tobytes()
+    # out's padding columns are left as they are
+    frame_len = cfg.frame_length(rate)
+    buffer[:, frame_len:] = 7.0
+    frames = frame_and_window(signal, cfg, 2, 4, out=buffer)
+    assert frames[:, :frame_len].tobytes() == whole[2:4, :frame_len].tobytes()
+    assert np.all(frames[:, frame_len:] == 7.0)
+    for first, last in [(0, 0), (3, 2), (-1, 2), (0, num_frames + 1)]:
+        with pytest.raises(ValueError, match="not within"):
+            frame_and_window(signal, cfg, first, last)
+
+
+def test_extract_peaks_below_one_frame_matrix():
+    # the whole (T, n_fft) frame matrix is never built: frames are windowed and
+    # transformed FRAME_BLOCK at a time
+    cfg, rate = DSP_PRESETS["iwslt-like"], 16000
+    signal = noise_signal(30 * rate, rate)
+    num_frames = (signal.samples.size - cfg.frame_length(rate)) // cfg.frame_step(rate) + 1
+    frame_matrix_bytes = num_frames * cfg.fft_size(rate) * 8
+    extract(signal, cfg)  # the cached constants are built outside the measurement
+    tracemalloc.start()
+    try:
+        extract(signal, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < frame_matrix_bytes
 
 
 def test_pre_emphasis_is_bit_identical_to_the_plain_formula():

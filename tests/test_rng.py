@@ -232,6 +232,27 @@ def test_substream_batch_across_a_block_boundary_and_its_read_only_cache():
     ]
 
 
+def test_scramble_cache_keeps_ranges_walked_in_order(monkeypatch):
+    # the Monte Carlo harness walks the same block ranges in the same order for
+    # every cell; past 2**20 trials the first 64 ranges must still hit
+    blocks = 80
+    ranges = [(first, first + MC_BLOCK_TRIALS) for first in range(0, blocks * MC_BLOCK_TRIALS, MC_BLOCK_TRIALS)]
+    rng_module._cached_scramble.cache_clear()
+    for first, last in ranges:
+        rng_module._scrambled_indices(first, last)
+    scrambled = []
+    real = rng_module.next_u64_batch
+    monkeypatch.setattr(rng_module, "next_u64_batch", lambda states: scrambled.append(states.size) or real(states))
+    for first, last in ranges:
+        assert rng_module._scrambled_indices(first, last).size == MC_BLOCK_TRIALS
+    assert len(scrambled) == blocks - 64
+    assert rng_module._cached_scramble.cache_info().hits == 64
+    # the cache never holds more than 64 ranges of 2**14 indices: 8 MiB
+    assert rng_module._scrambled_indices(0, 1 << 15) is not rng_module._scrambled_indices(0, 1 << 15)
+    first, last = ranges[-1][1] - 3, ranges[-1][1]  # past 2**20: built per call
+    assert [int(s) for s in substream_batch(5, first, last)] == [substream(5, i).state for i in range(first, last)]
+
+
 @pytest.mark.parametrize("call", ["uniform(RngState(1), 2**64 + 1)", "uniform_batch(np.ones(4, np.uint64), 2**65)"])
 def test_uniform_bound_above_2_64_raises_instead_of_looping(call):
     # above 2**64 the rejection limit (2**64 // n) * n is 0, so no draw is

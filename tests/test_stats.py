@@ -299,6 +299,26 @@ def test_monte_carlo_agrees_with_exact_multi():
     assert abs(report.mc_mean - exact) < 3 * report.mc_stderr
 
 
+@pytest.mark.parametrize(
+    "starts, lengths, expected",
+    [
+        ((2**31 + 5, 0), (3, 1), None),  # a start past the bound
+        ((2**31 - 1, 0), (2, 1), None),  # an end past the bound
+        ((2**31 + 1, 0), (0, 0), None),  # a zero-length interval past the bound
+        ((2**31 - 3, 0), (3, 1), [4]),  # an end at the bound
+        ((2**31, 0), (0, 1), [1]),  # a zero-length interval at the bound
+        ((), (), []),  # no rows
+    ],
+)
+def test_union_coverage_checks_its_2_31_bound(starts, lengths, expected):
+    starts, lengths = (np.array(v, dtype=np.int64).reshape(-1, 2) for v in (starts, lengths))
+    if expected is None:
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            union_coverage(starts, lengths)
+    else:
+        assert union_coverage(starts, lengths).tolist() == expected
+
+
 def test_monte_carlo_rejects_extents_the_coverage_count_cannot_pack():
     with pytest.raises(ValueError, match=r"2\*\*31"):
         monte_carlo_masked_mean(3, 2, 2**31 + 1, 2000, RngState(1))
