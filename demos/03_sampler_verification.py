@@ -2,14 +2,23 @@
 Checking the sampler against exact enumeration
 ==============================================
 
-The expected number of positions covered by the mask union has a closed
-form small enough to enumerate exactly.  Monte Carlo from the shipped
-sampler must land within three standard errors of it, cell by cell.
+The expected number of positions covered by the mask union can be
+enumerated exactly on small axes, and it also has a closed form in integer
+arithmetic that returns the same float; `verify` uses the closed form.
+Monte Carlo from the shipped sampler must land within three standard errors
+of it, cell by cell.
 """
 
 import sys
 
-from specmask import RngState, exact_masked_mean, exact_masked_mean_multi, monte_carlo_masked_mean, verify_grid
+from specmask import (
+    RngState,
+    exact_masked_mean,
+    exact_masked_mean_closed,
+    exact_masked_mean_multi,
+    monte_carlo_masked_mean,
+    verify_grid,
+)
 
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
 
@@ -18,9 +27,11 @@ trials = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
 print(f"exact_masked_mean(4, 10) = {exact_masked_mean(4, 10)}  (90/50)")
 
 # Two masks interact through the no-replacement rule and overlap, so the
-# oracle enumerates ordered distinct start pairs instead.
+# oracle enumerates ordered distinct start pairs instead.  The closed form
+# gets the same number without enumerating; `verify` uses it.
 exact_two = exact_masked_mean_multi(4, 2, 10)
 print(f"exact_masked_mean_multi(4, 2, 10) = {exact_two:.6f}")
+print(f"exact_masked_mean_closed(4, 2, 10) = {exact_masked_mean_closed(4, 2, 10):.6f}")
 
 # One Monte Carlo cell, by hand.
 report = monte_carlo_masked_mean(4, 2, 10, trials, RngState(123))

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
-from .masking import masks_from_text, resolve_policy
+from .masking import POLICY_PRESETS, AugmentPolicy, masks_from_text, resolve_policy
 from .pipeline import RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
 from .render import render_masks_pgm
 from .spfx import read_spfx, write_stats_container
@@ -49,12 +49,13 @@ def _dsp_from_args(args) -> DspConfig:
     return DspConfig()
 
 
-def _policy_from_args(args):
-    if args.preset:
-        return resolve_policy(args.preset)
-    if args.policy:
-        return resolve_policy(args.policy)
-    return resolve_policy("none")
+def _policy_from_args(args, default: AugmentPolicy) -> AugmentPolicy:
+    return resolve_policy(args.preset or args.policy) if args.preset or args.policy else default
+
+
+def _run(args, **fields) -> RunSummary:
+    """Run the pipeline over `--manifest` into `--out` with the `--config` front end."""
+    return run_pipeline(RunConfig(manifest_path=args.manifest, output_dir=args.out, dsp=_dsp_from_args(args), **fields))
 
 
 def _report_summary(summary: RunSummary, done: str | None = None) -> int:
@@ -70,14 +71,7 @@ def _report_summary(summary: RunSummary, done: str | None = None) -> int:
 
 
 def _cmd_extract(args) -> int:
-    config = RunConfig(
-        manifest_path=args.manifest,
-        output_dir=args.out,
-        dsp=_dsp_from_args(args),
-        mode="eval",  # plain extraction never augments
-        num_workers=args.workers,
-    )
-    return _report_summary(run_pipeline(config))
+    return _report_summary(_run(args, mode="eval", num_workers=args.workers))  # plain extraction never augments
 
 
 def _cmd_stats(args) -> int:
@@ -96,30 +90,15 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_standardize(args) -> int:
-    config = RunConfig(
-        manifest_path=args.manifest,
-        output_dir=args.out,
-        dsp=_dsp_from_args(args),
-        mode="eval",  # standardize only, never augment
-        stats_path=args.stats,
-    )
-    summary = run_pipeline(config)
+    summary = _run(args, mode="eval", stats_path=args.stats)  # standardize only, never augment
     total = summary.utterances_processed + len(summary.failures)
     return _report_summary(summary, f"standardized {summary.utterances_processed} of {total} utterances")
 
 
 def _cmd_augment(args) -> int:
-    config = RunConfig(
-        manifest_path=args.manifest,
-        output_dir=args.out,
-        dsp=_dsp_from_args(args),
-        policy=_policy_from_args(args),
-        seed=args.seed,
-        mode=args.mode,
-        stats_path=args.stats,
-        num_workers=args.workers,
-    )
-    return _report_summary(run_pipeline(config))
+    policy = _policy_from_args(args, POLICY_PRESETS["none"])
+    summary = _run(args, policy=policy, seed=args.seed, mode=args.mode, stats_path=args.stats, num_workers=args.workers)
+    return _report_summary(summary)
 
 
 def _cmd_slice(args) -> int:
@@ -168,10 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.preset or args.policy:
-        policy = _policy_from_args(args)
-    else:
-        policy = DEFAULT_DEMO_POLICY
+    policy = _policy_from_args(args, DEFAULT_DEMO_POLICY)
     if args.epochs < 1:
         raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
     if args.lr < 0:
@@ -193,37 +169,33 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="specmask", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", help="extract features for every manifest record")
-    p.add_argument("--config", help="DSP config file (key = value lines)")
-    p.add_argument("--manifest", required=True)
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--config", help="DSP config file (key = value lines, for WAV inputs)")
+    corpus.add_argument("--manifest", required=True)
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=1)
+
+    p = sub.add_parser("extract", parents=[corpus, workers], help="extract features for every manifest record")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_extract)
 
-    p = sub.add_parser("stats", help="accumulate per-channel mean/variance over a corpus")
-    p.add_argument("--config", help="DSP config file (for WAV inputs)")
-    p.add_argument("--manifest", required=True)
+    p = sub.add_parser("stats", parents=[corpus], help="accumulate per-channel mean/variance over a corpus")
     p.add_argument("--out", required=True, help="output stats container path")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("standardize", help="standardize features with precomputed stats")
-    p.add_argument("--config", help="DSP config file (for WAV inputs)")
+    p = sub.add_parser("standardize", parents=[corpus], help="standardize features with precomputed stats")
     p.add_argument("--stats", required=True, help="stats container from the stats subcommand")
-    p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_standardize)
 
-    p = sub.add_parser("augment", help="run the masking pipeline over a manifest")
-    p.add_argument("--config", help="DSP config file (for WAV inputs)")
+    p = sub.add_parser("augment", parents=[corpus, workers], help="run the masking pipeline over a manifest")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--preset", help="policy preset name")
     group.add_argument("--policy", help="literal policy F,mF,R,mR")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=("train", "eval"), default="train")
     p.add_argument("--stats", help="standardize with this stats container before masking")
-    p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("slice", help="write nested random manifest subsets")

@@ -212,11 +212,17 @@ def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
 def _frame_geometry(signal: PcmSignal, cfg: DspConfig) -> tuple[int, int, int, int]:
     """(frame_len, step, n_fft, num_frames) of `signal` under `cfg`.
 
-    The last partial frame is dropped; raises EmptyInputError when the signal
-    is shorter than one frame.
+    The last partial frame is dropped; raises ConfigError when the frame
+    length or step rounds below one sample at the signal's rate and
+    EmptyInputError when the signal is shorter than one frame.
     """
     frame_len = cfg.frame_length(signal.sample_rate)
     step = cfg.frame_step(signal.sample_rate)
+    if min(frame_len, step) < 1:
+        raise ConfigError(
+            f"frame length {frame_len} and step {step} samples at {signal.sample_rate} Hz: "
+            "frame_len_ms and frame_shift_ms must each cover at least one sample"
+        )
     size = signal.samples.size
     if size < frame_len:
         raise EmptyInputError(f"signal of {size} samples is shorter than one {frame_len}-sample frame")

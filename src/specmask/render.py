@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +33,5 @@ def render_masks_pgm(features: FeatureMatrix, masks: list[MaskSpec], path) -> No
 
     lines = ["P2", f"{num_frames} {num_channels}", "255"]
     for channel in range(num_channels - 1, -1, -1):  # top image row = highest channel
-        current = ""
-        for frame in range(num_frames):
-            token = str(gray[frame, channel])
-            if not current:
-                current = token
-            elif len(current) + 1 + len(token) <= MAX_LINE:
-                current += " " + token
-            else:
-                lines.append(current)
-                current = token
-        lines.append(current)
+        lines += textwrap.wrap(" ".join(map(str, gray[:, channel])), MAX_LINE)
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")

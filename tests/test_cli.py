@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import argparse
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from specmask.cli import main
+from specmask.cli import build_parser, main
 from specmask.features import DspConfig, FeatureMatrix, extract, read_wav
 from specmask.masking import masks_from_text
-from specmask.spfx import read_spfx, read_stats_container, write_spfx
-from specmask.stats import accumulate_stats
+from specmask.spfx import HEADER, read_spfx, read_stats_container, write_spfx, write_stats_container
+from specmask.stats import CorpusStats, accumulate_stats
 
-from conftest import build_corpus, run_python, tree_bytes
+from conftest import build_corpus, run_python, tree_bytes, write_wav
 
 
 def test_extract_writes_features_and_empty_sidecars(tmp_path, capsys):
@@ -284,6 +286,25 @@ def test_missing_stats_exits_2_before_creating_the_output(tmp_path, capsys, comm
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize(
+    "row, value", [(0, math.nan), (1, -1.0), (1, math.inf)], ids=["nan-mean", "negative-variance", "inf-variance"]
+)
+@pytest.mark.parametrize("command", ["standardize", "augment"])
+def test_malformed_stats_container_exits_2_before_creating_the_output(tmp_path, capsys, command, row, value):
+    manifest = build_corpus(tmp_path, 1)
+    stats_path = tmp_path / "corpus.spfx-stats"
+    write_stats_container(CorpusStats(np.zeros(40), np.ones(40), count=1), stats_path)
+    raw = bytearray(stats_path.read_bytes())
+    struct.pack_into("<f", raw, HEADER.size + 4 * 40 * row + 4 * 7, value)  # channel 7 of the mean or variance row
+    stats_path.write_bytes(bytes(raw))
+    out = tmp_path / "o"
+    assert main([command, "--stats", str(stats_path), "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stats_path}: ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
 UNUSABLE_PATHS = {
     "render-out-dir": ["render", "--features", "{spfx}", "--out", "{dir}"],
     "render-features-dir": ["render", "--features", "{dir}", "--out", "{tmp}/x.pgm"],
@@ -378,6 +399,24 @@ def test_missing_wav_is_per_utterance_failure(tmp_path, capsys):
     assert not (out / "ghost.spfx").exists()
 
 
+
+@pytest.mark.parametrize(
+    "command, done",
+    [("extract", "processed 3 utterances"), ("augment", "processed 3 utterances"), ("stats", "accumulated")],
+)
+def test_wav_whose_frame_step_rounds_to_0_samples_fails_only_that_record(tmp_path, capsys, command, done):
+    # 10 ms at 40 Hz rounds to a 0-sample frame step
+    manifest = build_corpus(tmp_path, 3)
+    write_wav(tmp_path / "slow.wav", 0.3 * np.sin(np.arange(80) / 3.0), 40)
+    lines = manifest.read_text(encoding="utf-8").splitlines(keepends=True)
+    manifest.write_text(lines[0] + "slow\tslow.wav\n" + "".join(lines[1:]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--manifest", str(manifest), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("failed: slow: frame length 1 and step 0 samples at 40 Hz")
+    assert len(captured.err.splitlines()) == 1
+    assert done in captured.out
+
 def test_stats_skips_and_reports_a_failing_record(tmp_path, capsys):
     manifest = build_corpus(tmp_path, 3)
     (tmp_path / "utt001.wav").unlink()
@@ -421,3 +460,64 @@ def test_missing_required_argument_exits_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["extract", "--out", "somewhere"])
     assert excinfo.value.code == 2
+
+
+HELP = ("help", False, argparse.SUPPRESS, None, None)
+CORPUS = {"--config": ("config", False, None, None, None), "--manifest": ("manifest", True, None, None, None)}
+OUT = {"--out": ("out", True, None, None, None)}
+WORKERS = {"--workers": ("workers", False, 1, "int", None)}
+POLICY = {"--preset": ("preset", False, None, None, None), "--policy": ("policy", False, None, None, None)}
+#: subcommand -> ({option strings: (dest, required, default, type name, choices)}, mutually exclusive groups)
+PINNED_ARGUMENTS = {
+    "extract": ({**CORPUS, **OUT, **WORKERS}, []),
+    "stats": ({**CORPUS, **OUT}, []),
+    "standardize": ({**CORPUS, **OUT, "--stats": ("stats", True, None, None, None)}, []),
+    "augment": (
+        {
+            **CORPUS, **OUT, **WORKERS, **POLICY,
+            "--seed": ("seed", False, 0, "int", None),
+            "--mode": ("mode", False, "train", None, ("train", "eval")),
+            "--stats": ("stats", False, None, None, None),
+        },
+        [["--policy", "--preset"]],
+    ),
+    "slice": (
+        {
+            **OUT,
+            "--manifest": ("manifest", True, None, None, None),
+            "--fractions": ("fractions", True, None, None, None),
+            "--seed": ("seed", False, 0, "int", None),
+        },
+        [],
+    ),
+    "render": (
+        {**OUT, "--features": ("features", True, None, None, None), "--masks": ("masks", False, None, None, None)},
+        [],
+    ),
+    "verify": ({"--trials": ("trials", False, 1_000_000, "int", None), "--seed": ("seed", False, 1, "int", None)}, []),
+    "demo": (
+        {
+            **POLICY,
+            "--epochs": ("epochs", False, 200, "int", None),
+            "--lr": ("lr", False, 0.5, "float", None),
+            "--seed": ("seed", False, 20260814, "int", None),
+            "--out": ("out", False, "curve.csv", None, None),
+        },
+        [["--policy", "--preset"]],
+    ),
+}
+
+
+def test_subcommand_arguments_are_pinned():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    found = {}
+    for name, parser in subparsers.choices.items():
+        actions = {
+            "/".join(a.option_strings): (a.dest, a.required, a.default, getattr(a.type, "__name__", None), a.choices)
+            for a in parser._actions
+        }
+        groups = [sorted(a.option_strings[0] for a in g._group_actions) for g in parser._mutually_exclusive_groups]
+        found[name] = (actions, groups)
+    assert found == {
+        name: ({"-h/--help": HELP, **actions}, groups) for name, (actions, groups) in PINNED_ARGUMENTS.items()
+    }

@@ -200,6 +200,20 @@ def test_signal_shorter_than_frame():
         frame_and_window(signal, cfg)
 
 
+@pytest.mark.parametrize(
+    "rate, overrides",
+    [(40, {}), (16000, {"frame_shift_ms": 0.01}), (16000, {"frame_len_ms": 0.01})],
+    ids=["40Hz-step-0", "shift-0.01ms", "length-0.01ms"],
+)
+def test_frame_below_one_sample_is_a_config_error(rate, overrides):
+    # 10 ms at 40 Hz rounds to a 0-sample step, which used to divide by zero
+    cfg = DspConfig(**overrides)
+    signal = PcmSignal(samples=np.sin(np.arange(2 * rate) / 3.0), sample_rate=rate)
+    for front_end in (frame_and_window, extract):
+        with pytest.raises(ConfigError, match=f"at {rate} Hz: .* at least one sample"):
+            front_end(signal, cfg)
+
+
 def test_hamming_window_values_applied():
     # feed all-ones with no pre-emphasis on the first frame: frame == window
     cfg = DspConfig(pre_emphasis=0.0, frame_len_ms=1.0, frame_shift_ms=1.0, n_fft=16)
