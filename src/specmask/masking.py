@@ -190,20 +190,31 @@ def mask_index(mask: MaskSpec, shape: tuple[int, int]) -> tuple[slice, slice]:
     return (span, slice(None)) if mask.axis == "time" else (slice(None), span)
 
 
-def apply_masks(features: FeatureMatrix, masks: list[MaskSpec]) -> FeatureMatrix:
-    """Zero every masked frame row / channel column; the input is left untouched."""
-    data = features.data.copy()
+def apply_masks(features: FeatureMatrix, masks: list[MaskSpec], out: np.ndarray | None = None) -> FeatureMatrix:
+    """Zero every masked frame row / channel column.
+
+    Without `out` a copy is masked and the input is left untouched.  With
+    `out`, a float64 array of the features' shape, the features are masked
+    there and the returned matrix holds `out` itself; `out=features.data`
+    masks in place, so the caller must own that array.
+    """
+    if out is None:
+        data = features.data.copy()
+    else:
+        data = out
+        if data is not features.data:
+            np.copyto(data, features.data)
     for mask in masks:
         data[mask_index(mask, data.shape)] = 0.0
     return replace(features, data=data)
 
 
 def augment(
-    features: FeatureMatrix, policy: AugmentPolicy, rng: RngState
+    features: FeatureMatrix, policy: AugmentPolicy, rng: RngState, out: np.ndarray | None = None
 ) -> tuple[FeatureMatrix, list[MaskSpec], RngState]:
-    """Sample masks for the policy and apply them to a copy of the features."""
+    """Sample masks for the policy and apply them, to a copy or into `out` as apply_masks does."""
     masks, rng = sample_policy_masks(policy, features.num_frames, features.num_channels, rng)
-    return apply_masks(features, masks), masks, rng
+    return apply_masks(features, masks, out=out), masks, rng
 
 
 def masks_to_text(masks: list[MaskSpec]) -> str:

@@ -108,9 +108,11 @@ def _process_one(
     config: RunConfig,
     stats: CorpusStats | None,
 ) -> tuple[int, list[str]]:
+    # the record's one float64 array, just allocated by the reader or the
+    # front end: standardized and masked in place, then cast once at write
     features = load_features(record, base_dir, config.dsp)
     if stats is not None:
-        features = standardize(features, stats)
+        features = standardize(features, stats, out=features.data)
     policy = config.effective_policy
     notes: list[str] = []
     if policy.num_time_masks > features.num_frames:
@@ -124,7 +126,7 @@ def _process_one(
             f"but only {features.num_channels} channels; capped"
         )
     rng = RngState(derive_utterance_seed(config.seed, record.utterance_id))
-    masked, masks, _ = augment(features, policy, rng)
+    masked, masks, _ = augment(features, policy, rng, out=features.data)
     write_spfx(masked, out_dir / f"{record.utterance_id}.spfx")
     # the sidecar is written even when empty, so eval trees match policy-none trees
     (out_dir / f"{record.utterance_id}.masks").write_text(masks_to_text(masks), encoding="utf-8")

@@ -27,9 +27,25 @@ KIND_CODES = {"log_mel": 0, "mfcc": 1, "standardized_log_mel": 2, "standardized_
 CODE_KINDS = {code: kind for kind, code in KIND_CODES.items()}
 
 
-def _pack(num_channels: int, num_frames: int, frame_shift_ms: float, kind_code: int, payload: np.ndarray) -> bytes:
-    header = HEADER.pack(MAGIC, VERSION, num_channels, num_frames, frame_shift_ms, kind_code)
-    return header + np.ascontiguousarray(payload, dtype="<f4").tobytes()
+def _write(path, frame_shift_ms: float, kind_code: int, rows: np.ndarray) -> None:
+    """Write one container: the header, then the 2-D `rows` rounded to float32, in one write.
+
+    The rows are cast straight into the output buffer.  A value that is not
+    finite there, such as a finite float64 that overflows float32, raises
+    FormatError before the file is opened, so no file is written.
+    """
+    num_frames, num_channels = rows.shape
+    blob = bytearray(HEADER.size + 4 * rows.size)
+    HEADER.pack_into(blob, 0, MAGIC, VERSION, num_channels, num_frames, frame_shift_ms, kind_code)
+    payload = np.frombuffer(blob, dtype="<f4", offset=HEADER.size).reshape(num_frames, num_channels)
+    with np.errstate(over="ignore"):  # an overflow is reported by the check below
+        np.copyto(payload, rows)
+    if not np.isfinite(payload).all():
+        row, column = np.argwhere(~np.isfinite(payload))[0]
+        raise FormatError(
+            f"{path}: value {rows[row, column]!r} at row {row}, column {column} is not finite as float32; nothing written"
+        )
+    Path(path).write_bytes(blob)
 
 
 def _unpack(raw: bytes, path) -> tuple[int, int, float, int, np.ndarray]:
@@ -52,15 +68,11 @@ def _unpack(raw: bytes, path) -> tuple[int, int, float, int, np.ndarray]:
 
 
 def write_spfx(features: FeatureMatrix, path) -> None:
-    """Persist a feature matrix; the float64 data is rounded to float32."""
-    blob = _pack(
-        features.num_channels,
-        features.num_frames,
-        features.frame_shift_ms,
-        KIND_CODES[features.kind],
-        features.data,
-    )
-    Path(path).write_bytes(blob)
+    """Persist a feature matrix; the float64 data is rounded to float32.
+
+    A value that overflows float32 raises FormatError and writes nothing.
+    """
+    _write(path, features.frame_shift_ms, KIND_CODES[features.kind], features.data)
 
 
 def read_spfx(path) -> FeatureMatrix:
@@ -77,9 +89,11 @@ def read_spfx(path) -> FeatureMatrix:
 
 
 def write_stats_container(stats: CorpusStats, path) -> None:
-    """Persist corpus stats as a kind-255 container: mean row then variance row."""
-    payload = np.stack([stats.mean, stats.variance])
-    Path(path).write_bytes(_pack(stats.num_channels, 2, 0.0, STATS_KIND, payload))
+    """Persist corpus stats as a kind-255 container: mean row then variance row.
+
+    A value that is not finite as float32 raises FormatError and writes nothing.
+    """
+    _write(path, 0.0, STATS_KIND, np.stack([stats.mean, stats.variance]))
 
 
 def read_stats_container(path) -> CorpusStats:

@@ -110,8 +110,14 @@ _STANDARDIZED_KIND = {
 }
 
 
-def standardize(features: FeatureMatrix, stats: CorpusStats) -> FeatureMatrix:
-    """Per-channel (x - mean) / sqrt(max(variance, 1e-8))."""
+def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | None = None) -> FeatureMatrix:
+    """Per-channel (x - mean) / sqrt(max(variance, 1e-8)).
+
+    Without `out` the result is a new array and the input is left untouched.
+    With `out`, a float64 array of the features' shape, the result is written
+    there and the returned matrix holds `out` itself; `out=features.data`
+    standardizes in place, so the caller must own that array.
+    """
     if stats.count < 1:
         raise ValueError("stats must cover at least one frame")
     if stats.num_channels != features.num_channels:
@@ -119,8 +125,11 @@ def standardize(features: FeatureMatrix, stats: CorpusStats) -> FeatureMatrix:
             f"stats cover {stats.num_channels} channels but features have {features.num_channels}"
         )
     scale = np.sqrt(np.maximum(stats.variance, VARIANCE_FLOOR))
+    data = np.subtract(features.data, stats.mean, out=out)
+    # a divide, not a multiply by 1/scale, which would round differently
+    np.divide(data, scale, out=data)
     return FeatureMatrix(
-        data=(features.data - stats.mean) / scale,
+        data=data,
         frame_shift_ms=features.frame_shift_ms,
         kind=_STANDARDIZED_KIND[features.kind],
     )

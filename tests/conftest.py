@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import struct
 import subprocess
 import sys
 import wave
@@ -48,6 +49,17 @@ def write_wav_int16(path: Path, values: list[int], sample_rate: int) -> None:
         fh.setsampwidth(2)
         fh.setframerate(sample_rate)
         fh.writeframes(np.asarray(values, dtype="<i2").tobytes())
+
+
+def write_spfx_raw(path: Path, rows: np.ndarray, kind_code: int, frame_shift_ms: float = 10.0) -> None:
+    """Write an SPFX container with `struct` from the documented layout.
+
+    The independent writer for inputs: a change to the package's writer
+    cannot change what a test reads.
+    """
+    rows = np.asarray(rows, dtype="<f4")
+    header = struct.pack("<4sHIIfB3x", b"SPFX", 1, rows.shape[1], rows.shape[0], frame_shift_ms, kind_code)
+    path.write_bytes(header + rows.tobytes())
 
 
 def build_corpus(root: Path, count: int, seconds: float = 0.2) -> Path:

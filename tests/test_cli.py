@@ -15,7 +15,7 @@ from specmask.masking import masks_from_text
 from specmask.spfx import HEADER, read_spfx, read_stats_container, write_spfx, write_stats_container
 from specmask.stats import CorpusStats, accumulate_stats
 
-from conftest import build_corpus, run_python, tree_bytes, write_wav
+from conftest import build_corpus, run_python, tree_bytes, write_spfx_raw, write_wav
 
 
 def test_extract_writes_features_and_empty_sidecars(tmp_path, capsys):
@@ -304,6 +304,20 @@ def test_malformed_stats_container_exits_2_before_creating_the_output(tmp_path, 
     assert err.startswith(f"error: {stats_path}: ")
     assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def test_stats_that_overflow_float32_exit_2_and_write_nothing(tmp_path, capsys):
+    # values of +-3e38 are finite float32, but their variance (about 9e76) is not
+    data = np.full((4, 3), 3e38)
+    data[::2] *= -1
+    write_spfx_raw(tmp_path / "big.spfx", data, kind_code=1)
+    (tmp_path / "m.tsv").write_text("big\tbig.spfx\n", encoding="utf-8")
+    stats_path = tmp_path / "corpus.spfx-stats"
+    assert main(["stats", "--manifest", str(tmp_path / "m.tsv"), "--out", str(stats_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stats_path}: ") and "is not finite as float32" in err
+    assert not stats_path.exists()
+
 
 UNUSABLE_PATHS = {
     "render-out-dir": ["render", "--features", "{spfx}", "--out", "{dir}"],

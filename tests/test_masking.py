@@ -220,6 +220,32 @@ def test_apply_does_not_mutate_input():
     assert np.all(m.data == 1.0)
 
 
+@pytest.mark.parametrize("target", ["none", "input", "other"])
+@pytest.mark.parametrize("via", ["apply_masks", "augment"])
+def test_masking_writes_only_where_out_says(via, target):
+    features = FeatureMatrix(
+        data=np.random.default_rng(8).normal(size=(40, 12)), frame_shift_ms=10.0, kind="log_mel"
+    )
+    before = features.data.tobytes()
+    masks = [MaskSpec("time", 3, 9), MaskSpec("frequency", 10, 2)]
+    expected = features.data.copy()
+    expected[3:12] = 0.0
+    expected[:, 10:12] = 0.0
+    out = {"none": None, "input": features.data, "other": np.empty((40, 12))}[target]
+    if via == "apply_masks":
+        result = apply_masks(features, masks, out=out)
+    else:
+        result, drawn, _ = augment(features, POLICY_PRESETS["ld-like"], RngState(5), out=out)
+        expected = apply_masks(FeatureMatrix(np.frombuffer(before).reshape(40, 12), 10.0, "log_mel"), drawn).data
+    assert result.data.tobytes() == expected.tobytes()
+    if out is None:
+        assert not np.shares_memory(result.data, features.data)
+    else:
+        assert result.data is out
+    if target != "input":
+        assert features.data.tobytes() == before
+
+
 def test_apply_out_of_bounds():
     with pytest.raises(MaskBoundsError):
         apply_masks(ones_matrix(10, 4), [MaskSpec("time", 8, 3)])

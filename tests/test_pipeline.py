@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import threading
+import tracemalloc
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -10,15 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specmask.cli import main
 from specmask.errors import ConfigError, FormatError
 from specmask.features import DspConfig
 from specmask.manifest import ManifestRecord
-from specmask.masking import POLICY_PRESETS, masks_from_text
+from specmask.masking import POLICY_PRESETS, AugmentPolicy, masks_from_text
 from specmask.pipeline import RunConfig, RunSummary, map_records, parse_dsp_config, run_pipeline
 from specmask.spfx import read_spfx, write_stats_container
 from specmask.stats import CorpusStats
 
-from conftest import build_corpus, tree_bytes, write_wav
+from conftest import build_corpus, tree_bytes, write_spfx_raw, write_wav
 
 
 def test_train_run_writes_features_and_sidecars(tmp_path):
@@ -158,6 +161,64 @@ def test_per_utterance_failures_collected(tmp_path):
     assert summary.failures[0][0] == "missing"
     # the good utterances were still written
     assert (tmp_path / "out" / "utt000.spfx").exists()
+
+
+@pytest.mark.parametrize("warning_policy", ["default", "error"])
+def test_a_value_that_overflows_float32_fails_only_its_record(tmp_path, warning_policy):
+    # 3e38 is a finite float32; standardized with variance 1e-9 it is about 9.5e42
+    big = np.ones((4, 3))
+    big[1, 2] = 3e38
+    write_spfx_raw(tmp_path / "big.spfx", big, kind_code=1)
+    write_spfx_raw(tmp_path / "fine.spfx", np.ones((4, 3)), kind_code=1)
+    write_spfx_raw(tmp_path / "c.spfx-stats", [[0.0, 0.0, 0.0], [1.0, 1.0, 1e-9]], kind_code=255, frame_shift_ms=0.0)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("big\tbig.spfx\nfine\tfine.spfx\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_policy)
+        summary = run_pipeline(
+            RunConfig(
+                manifest_path=str(manifest),
+                output_dir=str(out),
+                stats_path=str(tmp_path / "c.spfx-stats"),
+            )
+        )
+    assert summary.utterances_processed == 1
+    assert [record for record, _ in summary.failures] == ["big"]
+    assert "row 1, column 2 is not finite as float32" in summary.failures[0][1]
+    assert sorted(p.name for p in out.iterdir()) == ["fine.masks", "fine.spfx"]
+
+
+def test_reaugmenting_a_record_holds_one_float64_copy_of_it(tmp_path):
+    # 20000 x 80 values: the float64 matrix is 8 bytes a value, the file's payload 4
+    values = 20000 * 80
+    write_spfx_raw(tmp_path / "long.spfx", np.random.default_rng(3).normal(size=(20000, 80)), kind_code=1)
+    write_spfx_raw(tmp_path / "c.spfx-stats", [np.full(80, 0.5), np.full(80, 2.0)], kind_code=255, frame_shift_ms=0.0)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("long\tlong.spfx\n", encoding="utf-8")
+
+    def epoch(seed: int) -> RunSummary:
+        return run_pipeline(
+            RunConfig(
+                manifest_path=str(manifest),
+                output_dir=str(tmp_path / "out"),
+                policy=POLICY_PRESETS["ld-like"],
+                seed=seed,
+                stats_path=str(tmp_path / "c.spfx-stats"),
+            )
+        )
+
+    epoch(1)  # lazily built constants are made outside the measurement
+    tracemalloc.start()
+    try:
+        summary = epoch(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.failures == []
+    # the float64 matrix with either the file's bytes or the output buffer, plus
+    # a one-byte-a-value finite mask; a second float64 array does not fit
+    assert peak < 15 * values
 
 
 def test_cap_warning_recorded_in_summary(tmp_path):
@@ -340,3 +401,69 @@ def test_an_error_outside_the_failure_policy_escapes_the_driver(num_workers):
 
     with pytest.raises(RuntimeError, match="bug"):
         list(map_records(_records(6), task, num_workers, RunSummary()))
+
+
+# ------------------------------------------------------------- golden trees
+#
+# Output trees pinned by SHA-256.  The stats have a nonzero mean, non-unit
+# variances and one variance below the floor, so a change to the order or
+# form of the standardize arithmetic, the masking or the float32 packing
+# changes a digest.  The digests were recorded from the copying path that
+# came before in-place standardize and masking.
+
+
+def _tree_digest(out_dir: Path) -> str:
+    digest = hashlib.sha256()
+    for name, blob in tree_bytes(out_dir).items():
+        digest.update(f"{name}\0{len(blob)}\0".encode() + blob)
+    return digest.hexdigest()
+
+
+def _golden_stats(path: Path, channels: int) -> None:
+    rng = np.random.default_rng(8080)
+    mean = rng.uniform(-4.0, 4.0, channels)
+    variance = rng.uniform(0.2, 9.0, channels)
+    variance[3] = 1e-9  # below VARIANCE_FLOOR
+    write_spfx_raw(path, np.stack([mean, variance]), kind_code=255, frame_shift_ms=0.0)
+
+
+GOLDEN_SPFX_TREE = "1369b3a80e875f76e4108a115ff97f7d7ddba021fa9a2277da9b23d1713ea8d9"
+GOLDEN_WAV_TREE = "98b4a5ba4f5fd91e89b84a5b8e064b8e065ee284dcc1f5915c7ce93ac0fe669e"
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_standardized_spfx_tree_is_pinned(tmp_path, workers):
+    rng = np.random.default_rng(4242)
+    lines = []
+    for i in range(6):
+        data = rng.normal(loc=rng.uniform(-5.0, 5.0, 16), scale=rng.uniform(0.5, 3.0, 16), size=(40 + 19 * i, 16))
+        write_spfx_raw(tmp_path / f"in{i}.spfx", data, kind_code=1)
+        lines.append(f"u{i}\tin{i}.spfx\n")
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    _golden_stats(tmp_path / "c.spfx-stats", 16)
+    out = tmp_path / "out"
+    summary = run_pipeline(
+        RunConfig(
+            manifest_path=str(manifest),
+            output_dir=str(out),
+            policy=AugmentPolicy(6, 2, 25, 2),
+            seed=11,
+            stats_path=str(tmp_path / "c.spfx-stats"),
+            num_workers=workers,
+        )
+    )
+    assert summary.failures == []
+    assert _tree_digest(out) == GOLDEN_SPFX_TREE
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_augmented_wav_tree_with_stats_is_pinned(tmp_path, workers):
+    manifest = build_corpus(tmp_path, 4)
+    _golden_stats(tmp_path / "c.spfx-stats", 40)
+    out = tmp_path / "out"
+    assert main([
+        "augment", "--preset", "libri-best", "--seed", "3", "--stats", str(tmp_path / "c.spfx-stats"),
+        "--workers", str(workers), "--manifest", str(manifest), "--out", str(out),
+    ]) == 0
+    assert _tree_digest(out) == GOLDEN_WAV_TREE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -139,3 +140,36 @@ def test_stats_reader_rejects_feature_file(tmp_path):
     write_spfx(FeatureMatrix(data=np.zeros((2, 2)), frame_shift_ms=10.0, kind="log_mel"), path)
     with pytest.raises(FormatError, match="not a stats container"):
         read_stats_container(path)
+
+
+# ------------------------------------------------- the float32 boundary
+
+
+@pytest.mark.parametrize("warning_policy", ["default", "error"])
+def test_write_refuses_a_value_that_overflows_float32(tmp_path, warning_policy):
+    data = np.ones((3, 4))
+    data[2, 1] = 9.5e42  # finite as float64, inf as float32
+    path = tmp_path / "big.spfx"
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_policy)
+        with pytest.raises(FormatError, match="row 2, column 1 is not finite as float32"):
+            write_spfx(FeatureMatrix(data=data, frame_shift_ms=10.0, kind="mfcc"), path)
+    assert not path.exists()
+
+
+def test_float32_max_is_written_and_read_back(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "top.spfx"
+    write_spfx(FeatureMatrix(data=np.array([[top, -top]]), frame_shift_ms=10.0, kind="mfcc"), path)
+    assert read_spfx(path).data.tolist() == [[top, -top]]
+
+
+@pytest.mark.parametrize("mean", [1e39, np.nan, np.inf])
+def test_stats_container_write_refuses_nonfinite_float32(tmp_path, mean):
+    stats = CorpusStats(mean=np.array([0.0, mean]), variance=np.ones(2), count=5)
+    path = tmp_path / "s.spfx-stats"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match="row 0, column 1 is not finite as float32"):
+            write_stats_container(stats, path)
+    assert not path.exists()

@@ -112,6 +112,25 @@ def test_standardize_dead_channel():
     assert out.kind == "standardized_mfcc"
 
 
+@pytest.mark.parametrize("target", ["none", "input", "other"])
+def test_standardize_writes_only_where_out_says(target):
+    rng = np.random.default_rng(31)
+    stats = CorpusStats(mean=rng.normal(size=5), variance=np.array([0.3, 2.0, 1e-9, 7.5, 1.0]), count=9)
+    features = FeatureMatrix(data=rng.normal(size=(12, 5)), frame_shift_ms=10.0, kind="mfcc")
+    before = features.data.tobytes()
+    expected = (features.data - stats.mean) / np.sqrt(np.maximum(stats.variance, 1e-8))
+    out = {"none": None, "input": features.data, "other": np.empty((12, 5))}[target]
+    result = standardize(features, stats, out=out)
+    assert result.data.tobytes() == expected.tobytes()
+    assert result.kind == "standardized_mfcc"
+    if out is None:
+        assert not np.shares_memory(result.data, features.data)
+    else:
+        assert result.data is out
+    if target != "input":
+        assert features.data.tobytes() == before
+
+
 def test_standardize_channel_mismatch():
     stats = CorpusStats(mean=np.zeros(3), variance=np.ones(3), count=1)
     features = FeatureMatrix(data=np.zeros((2, 4)), frame_shift_ms=10.0, kind="log_mel")
