@@ -24,7 +24,7 @@ from .errors import (
 from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import POLICY_PRESETS, AugmentPolicy, masks_from_text, resolve_policy
-from .pipeline import RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
+from .pipeline import RUN_MODES, RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
 from .render import render_masks_pgm
 from .spfx import read_spfx, write_stats_container
 from .stats import MIN_TRIALS, accumulate_stats, verify_grid
@@ -152,8 +152,6 @@ def _cmd_demo(args) -> int:
         raise ConfigError(f"--epochs must be >= 1, got {args.epochs}")
     if args.lr < 0:
         raise ConfigError(f"--lr must be >= 0, got {args.lr}")
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     dataset = generate_dataset(default_params(), args.seed)
     curve = train(dataset, policy, args.epochs, args.lr, args.seed)
     Path(args.out).write_text(curve.to_csv(), encoding="utf-8")
@@ -193,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", help="policy preset name")
     group.add_argument("--policy", help="literal policy F,mF,R,mR")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("train", "eval"), default="train")
+    p.add_argument("--mode", choices=RUN_MODES, default="train")
     p.add_argument("--stats", help="standardize with this stats container before masking")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_augment)

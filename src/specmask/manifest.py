@@ -84,8 +84,11 @@ def slice_manifest(
     if list(fractions) != sorted(fractions):
         raise ValueError(f"fractions must be ascending, got {list(fractions)}")
 
+    try:
+        rng = RngState(seed)
+    except ValueError:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}") from None
     shuffled = list(manifest.records)
-    rng = RngState(seed)
     for i in range(len(shuffled) - 1, 0, -1):  # Fisher-Yates
         j, rng = uniform(rng, i + 1)
         shuffled[i], shuffled[j] = shuffled[j], shuffled[i]

@@ -168,8 +168,6 @@ def sample_policy_masks(
     policy: AugmentPolicy, num_frames: int, num_channels: int, rng: RngState
 ) -> tuple[list[MaskSpec], RngState]:
     """Draw all masks for one utterance: time masks first, then frequency masks, one shared stream."""
-    if num_frames < 1 or num_channels < 1:
-        raise ValueError(f"need num_frames >= 1 and num_channels >= 1, got ({num_frames}, {num_channels})")
     time_masks, rng = sample_axis_masks(policy.max_time_width, policy.num_time_masks, num_frames, "time", rng)
     freq_masks, rng = sample_axis_masks(policy.max_freq_width, policy.num_freq_masks, num_channels, "frequency", rng)
     return time_masks + freq_masks, rng
@@ -232,8 +230,6 @@ def masks_from_text(text: str) -> list[MaskSpec]:
         if len(fields) != 3:
             raise FormatError(f"mask line {lineno}: expected 3 tab-separated fields, got {len(fields)}")
         axis, start_s, length_s = fields
-        if axis not in MASK_AXES:
-            raise FormatError(f"mask line {lineno}: unknown axis {axis!r}")
         try:
             start, length = int(start_s), int(length_s)
         except ValueError:

@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConfigError
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -77,10 +79,13 @@ def derive_utterance_seed(global_seed: int, utterance_id: str) -> int:
 
     Hashes the id (FNV-1a over UTF-8), XORs the global seed, and scrambles the
     result with one SplitMix64 output step.  Distinct ids give decorrelated
-    streams, so utterances can be processed in any order or in parallel.
+    streams, so utterances can be processed in any order or in parallel.  A
+    global seed outside [0, 2**64) raises ConfigError instead of aliasing one.
     """
+    if not 0 <= global_seed <= MASK64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {global_seed}")
     h = fnv1a_64(utterance_id.encode("utf-8"))
-    out, _ = next_u64(RngState((h ^ global_seed) & MASK64))
+    out, _ = next_u64(RngState(h ^ global_seed))
     return out
 
 

@@ -99,7 +99,7 @@ def write_stats_container(stats: CorpusStats, path) -> None:
 def read_stats_container(path) -> CorpusStats:
     """Load corpus stats.  The frame count is not persisted; it loads as 1.
 
-    Raises FormatError when a value is not finite or a variance is negative.
+    Stats that CorpusStats refuses, such as a NaN, raise FormatError naming the path.
     """
     raw = Path(path).read_bytes()
     num_channels, num_frames, _, kind_code, payload = _unpack(raw, path)
@@ -108,6 +108,7 @@ def read_stats_container(path) -> CorpusStats:
     if num_frames != 2:
         raise FormatError(f"{path}: stats container must have 2 rows, got {num_frames} (byte offset 10)")
     mean, variance = payload.astype(np.float64)
-    if not (np.all(np.isfinite(payload)) and np.all(variance >= 0)):
-        raise FormatError(f"{path}: stats rows must be finite and the variance row nonnegative")
-    return CorpusStats(mean=mean, variance=variance, count=1)
+    try:
+        return CorpusStats(mean=mean, variance=variance, count=1)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None

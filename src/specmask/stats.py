@@ -47,10 +47,12 @@ class CorpusStats:
         object.__setattr__(self, "variance", np.asarray(self.variance, dtype=np.float64))
         if self.mean.ndim != 1 or self.mean.shape != self.variance.shape:
             raise ValueError("mean and variance must be 1-D arrays of equal length")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.variance).all()):
+            raise ValueError("mean and variance must be finite")
         if np.any(self.variance < 0):
             raise ValueError("variance must be nonnegative per channel")
-        if self.count < 0:
-            raise ValueError(f"count must be >= 0, got {self.count}")
+        if self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
 
     @property
     def num_channels(self) -> int:
@@ -64,12 +66,6 @@ class MaskFractionReport:
     mc_mean: float
     mc_stderr: float
     trials: int
-
-    def __post_init__(self) -> None:
-        if self.mc_stderr < 0:
-            raise ValueError("mc_stderr must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
@@ -118,8 +114,6 @@ def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | N
     there and the returned matrix holds `out` itself; `out=features.data`
     standardizes in place, so the caller must own that array.
     """
-    if stats.count < 1:
-        raise ValueError("stats must cover at least one frame")
     if stats.num_channels != features.num_channels:
         raise ConfigError(
             f"stats cover {stats.num_channels} channels but features have {features.num_channels}"
@@ -278,7 +272,7 @@ def monte_carlo_masked_mean(
         del states  # only the masks are needed from here on
         counts[first:last] = union_coverage(starts, lengths)
     mc_mean = float(counts.mean())
-    mc_stderr = float(counts.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    mc_stderr = float(counts.std(ddof=1) / math.sqrt(trials))
     return MaskFractionReport(mc_mean=mc_mean, mc_stderr=mc_stderr, trials=trials)
 
 
@@ -308,10 +302,8 @@ def verify_grid(
 
     A cell failing the 3-standard-error check is rerun once with a fresh
     substream; only two consecutive failures mark it failed.  A seed outside
-    [0, 2**64) raises ConfigError rather than aliasing a seed inside it.
+    [0, 2**64) raises ConfigError, from derive_utterance_seed.
     """
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     rows: list[GridRow] = []
     for extent in extents:
         for max_width in max_widths:

@@ -239,16 +239,23 @@ def test_demo_bad_training_argument_exits_2(tmp_path, capsys, flag, value):
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64])
-@pytest.mark.parametrize("command", ["verify", "demo"])
+@pytest.mark.parametrize("command", ["verify", "demo", "slice", "augment"])
 def test_seed_outside_u64_exits_2(tmp_path, capsys, command, seed):
-    curve_path = tmp_path / "curve.csv"
-    rest = ["--trials", "200"] if command == "verify" else ["--epochs", "1", "--out", str(curve_path)]
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("a\ta.wav\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rest = {
+        "verify": ["--trials", "200"],
+        "demo": ["--epochs", "1", "--out", str(out)],
+        "slice": ["--fractions", "1", "--manifest", str(manifest), "--out", str(out)],
+        "augment": ["--preset", "libri-best", "--manifest", str(manifest), "--out", str(out)],
+    }[command]
     assert main([command, "--seed", str(seed), *rest]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert "seed" in captured.err
     assert "grid cells passed" not in captured.out
-    assert not curve_path.exists()
+    assert not out.exists()
 
 
 def test_demo_writes_learning_curve(tmp_path, capsys):

@@ -288,7 +288,7 @@ def test_mask_text_round_trip():
 def test_mask_text_errors_cite_line():
     with pytest.raises(FormatError, match="line 1"):
         masks_from_text("time\t3\n")
-    with pytest.raises(FormatError, match="line 2"):
+    with pytest.raises(FormatError, match="line 2: axis must be one of .*, got 'space'"):
         masks_from_text("time\t3\t5\nspace\t0\t0\n")
     with pytest.raises(FormatError, match="line 1"):
         masks_from_text("time\tx\t5\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from specmask import rng as rng_module
+from specmask.errors import ConfigError
 from specmask.rng import (
     MASK64,
     RngState,
@@ -110,11 +111,19 @@ def test_fnv1a_vectors():
 def test_derive_utterance_seed_composition():
     seed = 0xDEADBEEF
     uid = "utt-0042"
-    expected, _ = next_u64(RngState(fnv1a_64(uid.encode()) ^ seed))
-    assert derive_utterance_seed(seed, uid) == expected
+    for s in (seed, 0, MASK64):  # the u64 ends are accepted as they are
+        expected, _ = next_u64(RngState(fnv1a_64(uid.encode()) ^ s))
+        assert derive_utterance_seed(s, uid) == expected
     assert derive_utterance_seed(seed, uid) == derive_utterance_seed(seed, uid)
     assert derive_utterance_seed(seed, uid) != derive_utterance_seed(seed, "utt-0043")
     assert derive_utterance_seed(seed, uid) != derive_utterance_seed(seed + 1, uid)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_derive_utterance_seed_refuses_a_seed_outside_u64(seed):
+    # masking into u64 would alias -1 to 2**64 - 1 and 2**64 to 0
+    with pytest.raises(ConfigError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+        derive_utterance_seed(seed, "utt-0042")
 
 
 def test_batch_next_matches_scalar_including_wraparound():

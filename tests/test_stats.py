@@ -139,10 +139,18 @@ def test_standardize_channel_mismatch():
 
 
 def test_corpus_stats_validation():
-    with pytest.raises(ValueError):
-        CorpusStats(mean=np.zeros(2), variance=np.array([-1.0, 0.0]), count=1)
-    with pytest.raises(ValueError):
-        CorpusStats(mean=np.zeros(2), variance=np.zeros(3), count=1)
+    cases = [
+        ([0.0, 0.0], [-1.0, 0.0], 1),
+        ([0.0, 0.0], [0.0, 0.0, 0.0], 1),
+        ([0.0, np.nan], [1.0, 1.0], 1),
+        ([0.0, np.inf], [1.0, 1.0], 1),
+        ([0.0, 0.0], [1.0, np.inf], 1),
+        ([0.0, 0.0], [1.0, np.nan], 1),
+        ([0.0, 0.0], [1.0, 1.0], 0),
+    ]
+    for mean, variance, count in cases:
+        with pytest.raises(ValueError):
+            CorpusStats(mean=np.array(mean), variance=np.array(variance), count=count)
 
 
 # ------------------------------------------------------------- exact oracles
@@ -365,6 +373,12 @@ def test_monte_carlo_is_deterministic():
     a = monte_carlo_masked_mean(3, 2, 8, 10_000, RngState(5))
     b = monte_carlo_masked_mean(3, 2, 8, 10_000, RngState(5))
     assert a == b
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_grid_refuses_a_seed_outside_u64(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        verify_grid(range(1, 2), range(1), (1,), 200, seed)
 
 
 def test_verify_grid_smoke():

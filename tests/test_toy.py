@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from specmask.errors import DivergenceError, EmptyInputError
+from specmask.errors import ConfigError, DivergenceError, EmptyInputError
 from specmask.features import FeatureMatrix
 from specmask.masking import POLICY_PRESETS, AugmentPolicy
 from specmask.rng import RngState
@@ -215,6 +215,15 @@ def test_training_determinism():
     assert a == b
     c = train(ds, DEFAULT_DEMO_POLICY, epochs=20, lr=0.3, seed=12)
     assert a != c
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_u64_is_refused(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        generate_dataset(small_params(), seed)
+    ds = generate_dataset(small_params(), 2)
+    with pytest.raises(ConfigError, match="seed"):
+        train(ds, DEFAULT_DEMO_POLICY, epochs=1, lr=0.3, seed=seed)
 
 
 def test_policy_none_ignores_mask_seed():
