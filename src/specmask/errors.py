@@ -13,8 +13,8 @@ class UnsupportedFormatError(FormatError):
     """A file is well-formed but uses an encoding this package does not handle."""
 
 
-class ConfigError(SpecmaskError):
-    """A configuration value violates its documented constraints."""
+class ConfigError(SpecmaskError, ValueError):
+    """A configuration value violates its documented constraints; a kind of ValueError."""
 
 
 class ManifestError(SpecmaskError):

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import ManifestError
+from .errors import ConfigError, ManifestError
 from .rng import RngState, uniform
 
 
@@ -77,17 +77,14 @@ def slice_manifest(
     larger ones.  Pass Fraction values to keep the ceil arithmetic exact.
     """
     if not fractions:
-        raise ValueError("need at least one fraction")
+        raise ConfigError("need at least one fraction")
     for frac in fractions:
         if not 0 < frac <= 1:
-            raise ValueError(f"fractions must be in (0, 1], got {frac}")
+            raise ConfigError(f"fractions must be in (0, 1], got {frac}")
     if list(fractions) != sorted(fractions):
-        raise ValueError(f"fractions must be ascending, got {list(fractions)}")
+        raise ConfigError(f"fractions must be ascending, got {list(fractions)}")
 
-    try:
-        rng = RngState(seed)
-    except ValueError:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}") from None
+    rng = RngState(seed)
     shuffled = list(manifest.records)
     for i in range(len(shuffled) - 1, 0, -1):  # Fisher-Yates
         j, rng = uniform(rng, i + 1)

@@ -45,8 +45,7 @@ class RunConfig:
         if self.mode not in RUN_MODES:
             raise ConfigError(f"mode must be one of {RUN_MODES}, got {self.mode!r}")
         # derive_utterance_seed checks this too, but only once `--out` exists
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be a u64, got {self.seed}")
+        RngState(self.seed)
         if self.num_workers < 1:
             raise ConfigError(f"num_workers must be >= 1, got {self.num_workers}")
 

@@ -39,7 +39,7 @@ class RngState:
 
     def __post_init__(self) -> None:
         if not 0 <= self.state <= MASK64:
-            raise ValueError(f"state must be a 64-bit unsigned integer, got {self.state}")
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.state}")
 
 
 def next_u64(rng: RngState) -> tuple[int, RngState]:
@@ -82,8 +82,7 @@ def derive_utterance_seed(global_seed: int, utterance_id: str) -> int:
     streams, so utterances can be processed in any order or in parallel.  A
     global seed outside [0, 2**64) raises ConfigError instead of aliasing one.
     """
-    if not 0 <= global_seed <= MASK64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {global_seed}")
+    RngState(global_seed)
     h = fnv1a_64(utterance_id.encode("utf-8"))
     out, _ = next_u64(RngState(h ^ global_seed))
     return out

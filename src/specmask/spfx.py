@@ -76,16 +76,22 @@ def write_spfx(features: FeatureMatrix, path) -> None:
 
 
 def read_spfx(path) -> FeatureMatrix:
-    """Load a feature matrix; header/payload problems raise FormatError naming the byte offset."""
+    """Load a feature matrix; header/payload problems raise FormatError naming the byte offset.
+
+    Features that FeatureMatrix refuses, such as a NaN or zero frames, raise FormatError naming the path.
+    """
     raw = Path(path).read_bytes()
     num_channels, num_frames, frame_shift_ms, kind_code, payload = _unpack(raw, path)
     if kind_code not in CODE_KINDS:
         raise FormatError(f"{path}: unknown kind byte {kind_code} at byte offset 18")
-    return FeatureMatrix(
-        data=payload.astype(np.float64),
-        frame_shift_ms=float(frame_shift_ms),
-        kind=CODE_KINDS[kind_code],
-    )
+    try:
+        return FeatureMatrix(
+            data=payload.astype(np.float64),
+            frame_shift_ms=float(frame_shift_ms),
+            kind=CODE_KINDS[kind_code],
+        )
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def write_stats_container(stats: CorpusStats, path) -> None:

@@ -261,9 +261,9 @@ def monte_carlo_masked_mean(
     extent may be at most 2**31, the bound of union_coverage.
     """
     if trials < MIN_TRIALS:
-        raise ValueError(f"trials must be >= {MIN_TRIALS}, got {trials}")
+        raise ConfigError(f"trials must be >= {MIN_TRIALS}, got {trials}")
     if extent > 1 << 31:
-        raise ValueError(f"extent must be <= 2**31 for the coverage count, got {extent}")
+        raise ConfigError(f"extent must be <= 2**31 for the coverage count, got {extent}")
     counts = np.empty(trials)
     for first in range(0, trials, MC_BLOCK_TRIALS):
         last = min(first + MC_BLOCK_TRIALS, trials)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, EmptyInputError
+from .errors import ConfigError, DivergenceError, EmptyInputError
 from .features import FeatureMatrix
 from .masking import AugmentPolicy, augment
 from .rng import RngState, derive_utterance_seed, uniform
@@ -199,9 +199,9 @@ def train(
     masked batch.  Dev NLL always uses the clean dev split.
     """
     if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if lr < 0:
-        raise ValueError(f"lr must be >= 0, got {lr}")
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"lr must be finite and >= 0, got {lr}")
     if policy is None:
         policy = AugmentPolicy()
     model = init_model(dataset.params.num_classes, dataset.params.num_channels)

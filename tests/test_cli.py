@@ -160,11 +160,17 @@ def test_slice_rejects_bad_fractions(tmp_path, capsys):
     manifest = build_corpus(tmp_path, 4)
     out = str(tmp_path / "slices")
     base = ["slice", "--manifest", str(manifest), "--out", out]
-    assert main(base + ["--fractions", "0.7,0.3"]) == 2
-    assert main(base + ["--fractions", "0"]) == 2
-    assert main(base + ["--fractions", "1.5"]) == 2
-    assert main(base + ["--fractions", "abc"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for fractions, message in [
+        ("0.7,0.3", "fractions must be ascending, got [Fraction(7, 10), Fraction(3, 10)]"),
+        ("0", "fractions must be in (0, 1], got 0"),
+        ("1.5", "fractions must be in (0, 1], got 3/2"),
+        ("abc", "bad fractions 'abc': Invalid literal for Fraction: 'abc'"),
+    ]:
+        assert main(base + ["--fractions", fractions]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "slices").exists()
 
 
 def test_render_writes_parseable_pgm(tmp_path):
@@ -199,6 +205,25 @@ def test_render_without_masks(tmp_path):
     assert image.read_text(encoding="ascii").startswith("P2\n")
 
 
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        (np.array([[0.0, math.nan], [1.0, 2.0]]), "feature data must be finite"),
+        (np.zeros((0, 4)), "data must be a 2-D matrix with T >= 1 and channels >= 1, got shape (0, 4)"),
+    ],
+    ids=["nan", "no-frames"],
+)
+def test_render_of_an_spfx_that_features_refuse_exits_2(tmp_path, capsys, rows, reason):
+    spfx = tmp_path / "bad.spfx"
+    write_spfx_raw(spfx, rows, kind_code=0)
+    image = tmp_path / "panel.pgm"
+    assert main(["render", "--features", str(spfx), "--out", str(image)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {spfx}: {reason}\n"
+    assert captured.out == ""
+    assert not image.exists()
+
+
 def test_render_sidecar_that_does_not_fit_exits_2(tmp_path, capsys):
     manifest = build_corpus(tmp_path, 1)
     out = tmp_path / "out"
@@ -223,18 +248,23 @@ def test_verify_grid_passes_at_reduced_trials(capsys):
 
 def test_verify_too_few_trials_exits_2(capsys):
     assert main(["verify", "--trials", "50"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "--trials" in err
+    captured = capsys.readouterr()
+    assert captured.err == "error: trials must be >= 100, got 50\n"
+    assert captured.out == ""
 
 
-@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "-1")])
+@pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf")])
 def test_demo_bad_training_argument_exits_2(tmp_path, capsys, flag, value):
+    # a NaN or infinite rate is a configuration error, not a divergence (exit 1)
     curve_path = tmp_path / "curve.csv"
     assert main(["demo", flag, value, "--out", str(curve_path)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert flag in err
+    captured = capsys.readouterr()
+    if flag == "--epochs":
+        message = f"epochs must be >= 1, got {value}"
+    else:
+        message = f"lr must be finite and >= 0, got {float(value)}"
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
     assert not curve_path.exists()
 
 
@@ -252,9 +282,8 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, command, seed):
     }[command]
     assert main([command, "--seed", str(seed), *rest]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-    assert "seed" in captured.err
-    assert "grid cells passed" not in captured.out
+    assert captured.err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert captured.out == ""
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from specmask.errors import ManifestError
+from specmask.errors import ConfigError, ManifestError
 from specmask.manifest import (
     Manifest,
     ManifestRecord,
@@ -130,11 +130,11 @@ def test_fisher_yates_fixture():
 
 def test_fraction_validation():
     m = make_manifest(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         slice_manifest(m, [0.0, 1.0], seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         slice_manifest(m, [1.5], seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         slice_manifest(m, [0.5, 0.25], seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         slice_manifest(m, [], seed=0)

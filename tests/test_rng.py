@@ -60,10 +60,11 @@ def test_purity_and_distinct_seeds():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        RngState(-1)
-    with pytest.raises(ValueError):
-        RngState(2**64)
+    # RngState owns the seed range; ConfigError stays a ValueError for callers that catch that
+    assert issubclass(ConfigError, ValueError)
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            RngState(seed)
     RngState(MASK64)  # boundary is legal
 
 

@@ -365,7 +365,7 @@ def test_monte_carlo_at_the_largest_width_bound():
 
 
 def test_monte_carlo_requires_trials():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="trials must be >= 100, got 99"):
         monte_carlo_masked_mean(1, 1, 4, 99, RngState(0))
 
 

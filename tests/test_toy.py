@@ -277,10 +277,11 @@ def test_divergence_raises_with_epoch_number():
 
 def test_train_validation():
     ds = generate_dataset(small_params(), 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="epochs must be >= 1, got 0"):
         train(ds, None, epochs=0, lr=0.1, seed=0)
-    with pytest.raises(ValueError):
-        train(ds, None, epochs=1, lr=-0.1, seed=0)
+    for lr in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
+            train(ds, None, epochs=1, lr=lr, seed=0)
 
 
 def test_curve_csv_format():
