@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when individual utterances failed (or a check
-failed), 2 on configuration/format errors and on input or output paths that
-cannot be used.
+Exit codes: 0 on success; 1 when individual utterances failed, a verify
+cell failed or demo training diverged; 2 on every other package error and
+on input or output paths that cannot be used.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
-from .errors import (
-    ConfigError,
-    EmptyInputError,
-    FormatError,
-    ManifestError,
-    MaskBoundsError,
-    SpecmaskError,
-)
+from .errors import ConfigError, DivergenceError, EmptyInputError, SpecmaskError
 from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import POLICY_PRESETS, AugmentPolicy, masks_from_text, resolve_policy
@@ -222,14 +215,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ConfigError, FormatError, ManifestError, MaskBoundsError, EmptyInputError, OSError,
-    ) as exc:
+    except (SpecmaskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SpecmaskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DivergenceError) else 2  # 1: training ran and failed its check
 
 
 if __name__ == "__main__":

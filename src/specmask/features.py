@@ -16,7 +16,8 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, EmptyInputError, FormatError, UnsupportedFormatError
 
-#: Legal values of FeatureMatrix.kind.
+#: Legal values of FeatureMatrix.kind.  A kind's index is its SPFX kind
+#: byte, so a new kind is only ever appended.
 FEATURE_KINDS = ("log_mel", "mfcc", "standardized_log_mel", "standardized_mfcc")
 
 #: Frames that `extract` windows and transforms together.  Results do not
@@ -303,13 +304,16 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fm
         raise ConfigError(
             f"need 0 <= fmin < fmax <= sample_rate/2, got fmin={fmin_hz}, fmax={fmax_hz}, rate={sample_rate}"
         )
+    not_distinct = ConfigError(
+        f"{n_mels + 2} mel edge points are not distinct after rounding to {n_fft}-point FFT bins; "
+        "reduce n_mels or increase n_fft"
+    )
+    if n_mels + 2 > (n_fft + 1) // 2 + 1:  # more edges than bins 0..(n_fft+1)//2; refused before allocating
+        raise not_distinct
     mel_points = np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_mels + 2)
     bin_points = np.floor((n_fft + 1) * mel_to_hz(mel_points) / sample_rate).astype(int)
     if np.any(np.diff(bin_points) < 1):
-        raise ConfigError(
-            f"{n_mels + 2} mel edge points are not distinct after rounding to {n_fft}-point FFT bins; "
-            "reduce n_mels or increase n_fft"
-        )
+        raise not_distinct
     bank = np.zeros((n_mels, n_fft // 2 + 1))
     for i in range(n_mels):
         left, center, right = bin_points[i], bin_points[i + 1], bin_points[i + 2]

@@ -1,7 +1,8 @@
 """SPFX binary feature container.
 
 Layout (little-endian): magic "SPFX", version u16, num_channels u32,
-num_frames u32, frame_shift_ms float32, kind u8, 3 reserved zero bytes,
+num_frames u32, frame_shift_ms float32, kind u8 (its index in
+features.FEATURE_KINDS), 3 reserved zero bytes,
 then num_frames * num_channels float32 payload, time-major.  A kind byte of
 255 marks a statistics container whose two payload rows are the per-channel
 mean and variance.
@@ -15,16 +16,13 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .features import FeatureMatrix
+from .features import FEATURE_KINDS, FeatureMatrix
 from .stats import CorpusStats
 
 MAGIC = b"SPFX"
 VERSION = 1
 HEADER = struct.Struct("<4sHIIfB3x")
 STATS_KIND = 255
-
-KIND_CODES = {"log_mel": 0, "mfcc": 1, "standardized_log_mel": 2, "standardized_mfcc": 3}
-CODE_KINDS = {code: kind for kind, code in KIND_CODES.items()}
 
 
 def _write(path, frame_shift_ms: float, kind_code: int, rows: np.ndarray) -> None:
@@ -72,7 +70,7 @@ def write_spfx(features: FeatureMatrix, path) -> None:
 
     A value that overflows float32 raises FormatError and writes nothing.
     """
-    _write(path, features.frame_shift_ms, KIND_CODES[features.kind], features.data)
+    _write(path, features.frame_shift_ms, FEATURE_KINDS.index(features.kind), features.data)
 
 
 def read_spfx(path) -> FeatureMatrix:
@@ -82,13 +80,13 @@ def read_spfx(path) -> FeatureMatrix:
     """
     raw = Path(path).read_bytes()
     num_channels, num_frames, frame_shift_ms, kind_code, payload = _unpack(raw, path)
-    if kind_code not in CODE_KINDS:
+    if kind_code >= len(FEATURE_KINDS):
         raise FormatError(f"{path}: unknown kind byte {kind_code} at byte offset 18")
     try:
         return FeatureMatrix(
             data=payload.astype(np.float64),
             frame_shift_ms=float(frame_shift_ms),
-            kind=CODE_KINDS[kind_code],
+            kind=FEATURE_KINDS[kind_code],
         )
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None

@@ -98,14 +98,6 @@ def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
     return CorpusStats(mean=mean, variance=variance, count=count)
 
 
-_STANDARDIZED_KIND = {
-    "log_mel": "standardized_log_mel",
-    "mfcc": "standardized_mfcc",
-    "standardized_log_mel": "standardized_log_mel",
-    "standardized_mfcc": "standardized_mfcc",
-}
-
-
 def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | None = None) -> FeatureMatrix:
     """Per-channel (x - mean) / sqrt(max(variance, 1e-8)).
 
@@ -125,7 +117,7 @@ def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | N
     return FeatureMatrix(
         data=data,
         frame_shift_ms=features.frame_shift_ms,
-        kind=_STANDARDIZED_KIND[features.kind],
+        kind="standardized_" + features.kind.removeprefix("standardized_"),
     )
 
 

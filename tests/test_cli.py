@@ -9,6 +9,7 @@ import struct
 import numpy as np
 import pytest
 
+from specmask import cli, errors
 from specmask.cli import build_parser, main
 from specmask.features import DspConfig, FeatureMatrix, extract, read_wav
 from specmask.masking import masks_from_text
@@ -450,6 +451,20 @@ def test_missing_wav_is_per_utterance_failure(tmp_path, capsys):
 
 
 
+def test_n_mels_far_above_the_fft_bins_fails_its_records_without_allocating(tmp_path, capsys):
+    # 10**15 + 2 mel edge points would need petabytes; the filterbank refuses them first
+    manifest = build_corpus(tmp_path, 1)
+    config = tmp_path / "front-end.cfg"
+    config.write_text(f"n_mels = {10**15}\n", encoding="utf-8")
+    assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "failed: utt000: 1000000000000002 mel edge points are not distinct after rounding to 512-point FFT bins; "
+        "reduce n_mels or increase n_fft\n"
+    )
+    assert "processed 0 utterances" in captured.out
+
+
 @pytest.mark.parametrize(
     "command, done",
     [("extract", "processed 3 utterances"), ("augment", "processed 3 utterances"), ("stats", "accumulated")],
@@ -504,6 +519,31 @@ def test_extract_rejects_an_id_that_escapes_the_output_directory(tmp_path, capsy
     assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
     assert "line 2" in capsys.readouterr().err
     assert not (tmp_path / "c").exists()
+
+
+PACKAGE_ERRORS = [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, errors.SpecmaskError)
+]
+
+
+@pytest.mark.parametrize("error", [*PACKAGE_ERRORS, OSError], ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_package_error(monkeypatch, capsys, error):
+    # only a diverged training run exits 1; every other package error, and an unusable path, exits 2
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_cmd_verify", fail)
+    assert main(["verify"]) == (1 if error is errors.DivergenceError else 2)
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+def test_an_error_outside_the_package_propagates(monkeypatch):
+    def fail(args):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(cli, "_cmd_verify", fail)
+    with pytest.raises(ValueError, match="not a package error"):
+        main(["verify"])
 
 
 def test_missing_required_argument_exits_2(capsys):

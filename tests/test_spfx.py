@@ -61,6 +61,15 @@ def test_all_kinds_round_trip(tmp_path, kind):
     assert read_spfx(path).kind == kind
 
 
+@pytest.mark.parametrize(
+    "kind, code", [("log_mel", 0), ("mfcc", 1), ("standardized_log_mel", 2), ("standardized_mfcc", 3)]
+)
+def test_kind_byte_of_each_kind(tmp_path, kind, code):
+    path = tmp_path / "k.spfx"
+    write_spfx(FeatureMatrix(data=np.ones((2, 3)), frame_shift_ms=10.0, kind=kind), path)
+    assert path.read_bytes()[18] == code
+
+
 def test_payload_is_time_major_float32_le(tmp_path):
     data = np.array([[1.0, 2.0], [3.0, 4.0]])
     path = tmp_path / "tm.spfx"
@@ -104,10 +113,11 @@ def test_unknown_kind_byte(tmp_path):
     path = tmp_path / "k.spfx"
     write_spfx(FeatureMatrix(data=good, frame_shift_ms=10.0, kind="log_mel"), path)
     raw = bytearray(path.read_bytes())
-    raw[18] = 9
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError, match="offset 18"):
-        read_spfx(path)
+    for code in (4, 9, 254):  # 4 is the first byte past the last kind
+        raw[18] = code
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"unknown kind byte {code} at byte offset 18$"):
+            read_spfx(path)
 
 
 def test_stats_container_round_trip(tmp_path):

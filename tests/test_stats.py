@@ -131,6 +131,21 @@ def test_standardize_writes_only_where_out_says(target):
         assert features.data.tobytes() == before
 
 
+@pytest.mark.parametrize(
+    "kind, expected",
+    [
+        ("log_mel", "standardized_log_mel"),
+        ("mfcc", "standardized_mfcc"),
+        ("standardized_log_mel", "standardized_log_mel"),
+        ("standardized_mfcc", "standardized_mfcc"),
+    ],
+)
+def test_standardize_output_kind(kind, expected):
+    stats = CorpusStats(mean=np.zeros(2), variance=np.ones(2), count=1)
+    features = FeatureMatrix(data=np.ones((3, 2)), frame_shift_ms=10.0, kind=kind)
+    assert standardize(features, stats).kind == expected
+
+
 def test_standardize_channel_mismatch():
     stats = CorpusStats(mean=np.zeros(3), variance=np.ones(3), count=1)
     features = FeatureMatrix(data=np.zeros((2, 4)), frame_shift_ms=10.0, kind="log_mel")
