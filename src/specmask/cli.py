@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 on success; 1 when individual utterances failed, a verify
-cell failed or demo training diverged; 2 on every other package error and
-on input or output paths that cannot be used.
+cell failed or demo training diverged; 2 on every other package error, on
+input or output paths that cannot be used and on an allocation refused for
+a size the caller chose.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _dsp_from_args(args) -> DspConfig:
 
 
 def _policy_from_args(args, default: AugmentPolicy) -> AugmentPolicy:
-    return resolve_policy(args.preset or args.policy) if args.preset or args.policy else default
+    return resolve_policy(args.policy) if args.policy else default
 
 
 def _run(args, **fields) -> RunSummary:
@@ -171,9 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_standardize)
 
     p = sub.add_parser("augment", parents=[corpus, workers], help="run the masking pipeline over a manifest")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--preset", help="policy preset name")
-    group.add_argument("--policy", help="literal policy F,mF,R,mR")
+    p.add_argument("--policy", help="policy preset name or literal F,mF,R,mR (default: none)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=RUN_MODES, default="train")
     p.add_argument("--stats", help="standardize with this stats container before masking")
@@ -199,9 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("demo", help="train the toy classifier and emit its learning curve")
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--preset", help="policy preset name")
-    group.add_argument("--policy", help="literal policy F,mF,R,mR (default: the shipped demo policy)")
+    p.add_argument("--policy", help="policy preset name or literal F,mF,R,mR (default: the shipped demo policy)")
     p.add_argument("--epochs", type=int, default=DEFAULT_DEMO_EPOCHS)
     p.add_argument("--lr", type=float, default=DEFAULT_DEMO_LR)
     p.add_argument("--seed", type=int, default=DEFAULT_DEMO_SEED)
@@ -215,7 +212,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SpecmaskError, OSError) as exc:
+    except (SpecmaskError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DivergenceError) else 2  # 1: training ran and failed its check
 

@@ -6,7 +6,7 @@ class SpecmaskError(Exception):
 
 
 class FormatError(SpecmaskError):
-    """A file does not conform to its container format (WAV, SPFX, manifest, config)."""
+    """Input does not conform to its format (WAV, SPFX, mask sidecar, policy string)."""
 
 
 class UnsupportedFormatError(FormatError):

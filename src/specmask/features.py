@@ -57,6 +57,8 @@ class FeatureMatrix:
             raise ValueError(f"data must be a 2-D matrix with T >= 1 and channels >= 1, got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("feature data must be finite")
+        if not (math.isfinite(self.frame_shift_ms) and self.frame_shift_ms > 0):
+            raise ValueError(f"frame_shift_ms must be finite and > 0, got {self.frame_shift_ms}")
         if self.kind not in FEATURE_KINDS:
             raise ValueError(f"kind must be one of {FEATURE_KINDS}, got {self.kind!r}")
 

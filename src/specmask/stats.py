@@ -65,7 +65,6 @@ class MaskFractionReport:
 
     mc_mean: float
     mc_stderr: float
-    trials: int
 
 
 def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
@@ -265,7 +264,7 @@ def monte_carlo_masked_mean(
         counts[first:last] = union_coverage(starts, lengths)
     mc_mean = float(counts.mean())
     mc_stderr = float(counts.std(ddof=1) / math.sqrt(trials))
-    return MaskFractionReport(mc_mean=mc_mean, mc_stderr=mc_stderr, trials=trials)
+    return MaskFractionReport(mc_mean=mc_mean, mc_stderr=mc_stderr)
 
 
 @dataclass(frozen=True)

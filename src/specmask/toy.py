@@ -187,23 +187,21 @@ def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def train(
     dataset: SyntheticDataset,
-    policy: AugmentPolicy | None,
+    policy: AugmentPolicy,
     epochs: int,
     lr: float,
     seed: int,
 ) -> LearningCurve:
     """Full-batch gradient descent; metrics are recorded before each step.
 
-    With a policy, every training example is re-masked each epoch from an RNG
-    state derived from (seed, "id:epoch"); train NLL is measured on that
-    masked batch.  Dev NLL always uses the clean dev split.
+    Unless the policy is the identity, every training example is re-masked
+    each epoch from an RNG state derived from (seed, "id:epoch"); train NLL
+    is measured on that masked batch.  Dev NLL always uses the clean dev split.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if not (math.isfinite(lr) and lr >= 0):
         raise ConfigError(f"lr must be finite and >= 0, got {lr}")
-    if policy is None:
-        policy = AugmentPolicy()
     model = init_model(dataset.params.num_classes, dataset.params.num_channels)
     clean_pooled = np.stack([_pool(ex.features) for ex in dataset.train])
     train_labels = np.array([ex.label for ex in dataset.train])

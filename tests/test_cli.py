@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,7 +51,7 @@ def test_extract_equals_augment_eval_tree(tmp_path):
     augment_out = tmp_path / "augment"
     assert main(["extract", "--manifest", str(manifest), "--out", str(extract_out)]) == 0
     assert main([
-        "augment", "--preset", "libri-best", "--seed", "11", "--mode", "eval",
+        "augment", "--policy", "libri-best", "--seed", "11", "--mode", "eval",
         "--manifest", str(manifest), "--out", str(augment_out),
     ]) == 0
     assert tree_bytes(extract_out) == tree_bytes(augment_out)
@@ -58,7 +61,7 @@ def test_augment_train_sidecar_counts(tmp_path):
     manifest = build_corpus(tmp_path, 3)
     out = tmp_path / "out"
     assert main([
-        "augment", "--preset", "libri-best", "--seed", "7",
+        "augment", "--policy", "libri-best", "--seed", "7",
         "--manifest", str(manifest), "--out", str(out),
     ]) == 0
     for i in range(3):
@@ -86,7 +89,7 @@ def test_augment_worker_count_is_invisible(tmp_path):
     manifest = build_corpus(tmp_path, 5)
     out1 = tmp_path / "w1"
     out8 = tmp_path / "w8"
-    args = ["augment", "--preset", "ld-like", "--seed", "5", "--manifest", str(manifest)]
+    args = ["augment", "--policy", "ld-like", "--seed", "5", "--manifest", str(manifest)]
     assert main(args + ["--out", str(out1), "--workers", "1"]) == 0
     assert main(args + ["--out", str(out8), "--workers", "8"]) == 0
     assert tree_bytes(out1) == tree_bytes(out8)
@@ -120,7 +123,7 @@ def test_standardize_tree_equals_augment_eval_with_stats(tmp_path):
     eval_out = tmp_path / "eval"
     assert main(["standardize", "--stats", str(stats_path), "--manifest", str(manifest), "--out", str(std_out)]) == 0
     assert main([
-        "augment", "--preset", "ld-like", "--seed", "4", "--mode", "eval", "--stats", str(stats_path),
+        "augment", "--policy", "ld-like", "--seed", "4", "--mode", "eval", "--stats", str(stats_path),
         "--manifest", str(manifest), "--out", str(eval_out),
     ]) == 0
     assert tree_bytes(std_out) == tree_bytes(eval_out)
@@ -132,7 +135,7 @@ def test_augment_with_stats_standardizes_before_masking(tmp_path):
     assert main(["stats", "--manifest", str(manifest), "--out", str(stats_path)]) == 0
     out = tmp_path / "out"
     assert main([
-        "augment", "--preset", "libri-best", "--seed", "3", "--stats", str(stats_path),
+        "augment", "--policy", "libri-best", "--seed", "3", "--stats", str(stats_path),
         "--manifest", str(manifest), "--out", str(out),
     ]) == 0
     assert read_spfx(out / "utt000.spfx").kind == "standardized_log_mel"
@@ -178,7 +181,7 @@ def test_render_writes_parseable_pgm(tmp_path):
     manifest = build_corpus(tmp_path, 1)
     out = tmp_path / "out"
     assert main([
-        "augment", "--preset", "libri-best", "--seed", "9",
+        "augment", "--policy", "libri-best", "--seed", "9",
         "--manifest", str(manifest), "--out", str(out),
     ]) == 0
     image = tmp_path / "panel.pgm"
@@ -206,23 +209,43 @@ def test_render_without_masks(tmp_path):
     assert image.read_text(encoding="ascii").startswith("P2\n")
 
 
+BAD_FRAME_SHIFTS = [math.nan, -10.0, 0.0, math.inf]
+
+
 @pytest.mark.parametrize(
-    "rows, reason",
+    "rows, shift, reason",
     [
-        (np.array([[0.0, math.nan], [1.0, 2.0]]), "feature data must be finite"),
-        (np.zeros((0, 4)), "data must be a 2-D matrix with T >= 1 and channels >= 1, got shape (0, 4)"),
+        (np.array([[0.0, math.nan], [1.0, 2.0]]), 10.0, "feature data must be finite"),
+        (np.zeros((0, 4)), 10.0, "data must be a 2-D matrix with T >= 1 and channels >= 1, got shape (0, 4)"),
+        *[(np.ones((4, 3)), shift, f"frame_shift_ms must be finite and > 0, got {shift}") for shift in BAD_FRAME_SHIFTS],
     ],
-    ids=["nan", "no-frames"],
+    ids=["nan", "no-frames", "shift-nan", "shift-negative", "shift-zero", "shift-inf"],
 )
-def test_render_of_an_spfx_that_features_refuse_exits_2(tmp_path, capsys, rows, reason):
+def test_render_of_an_spfx_that_features_refuse_exits_2(tmp_path, capsys, rows, shift, reason):
     spfx = tmp_path / "bad.spfx"
-    write_spfx_raw(spfx, rows, kind_code=0)
+    write_spfx_raw(spfx, rows, kind_code=0, frame_shift_ms=shift)
     image = tmp_path / "panel.pgm"
     assert main(["render", "--features", str(spfx), "--out", str(image)]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {spfx}: {reason}\n"
     assert captured.out == ""
     assert not image.exists()
+
+
+def test_spfx_inputs_with_a_bad_frame_shift_fail_their_records(tmp_path, capsys):
+    manifest = tmp_path / "m.tsv"
+    for i, shift in enumerate(BAD_FRAME_SHIFTS):
+        write_spfx_raw(tmp_path / f"in{i}.spfx", np.ones((4, 3)), kind_code=1, frame_shift_ms=shift)
+    manifest.write_text("".join(f"in{i}\tin{i}.spfx\n" for i in range(len(BAD_FRAME_SHIFTS))), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["augment", "--policy", "ld-like", "--manifest", str(manifest), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"failed: in{i}: {tmp_path / f'in{i}.spfx'}: frame_shift_ms must be finite and > 0, got {shift}"
+        for i, shift in enumerate(BAD_FRAME_SHIFTS)
+    ]
+    assert "processed 0 utterances" in captured.out
+    assert list(out.iterdir()) == []
 
 
 def test_render_sidecar_that_does_not_fit_exits_2(tmp_path, capsys):
@@ -279,7 +302,7 @@ def test_seed_outside_u64_exits_2(tmp_path, capsys, command, seed):
         "verify": ["--trials", "200"],
         "demo": ["--epochs", "1", "--out", str(out)],
         "slice": ["--fractions", "1", "--manifest", str(manifest), "--out", str(out)],
-        "augment": ["--preset", "libri-best", "--manifest", str(manifest), "--out", str(out)],
+        "augment": ["--policy", "libri-best", "--manifest", str(manifest), "--out", str(out)],
     }[command]
     assert main([command, "--seed", str(seed), *rest]) == 2
     captured = capsys.readouterr()
@@ -465,6 +488,27 @@ def test_n_mels_far_above_the_fft_bins_fails_its_records_without_allocating(tmp_
     assert "processed 0 utterances" in captured.out
 
 
+# Both sizes need more than 2**57 bytes, the largest x86-64 address space, so
+# the allocation is refused at once and nothing is allocated.
+def test_verify_trials_past_the_address_space_exit_2(capsys):
+    assert main(["verify", "--trials", str(2**55)]) == 2  # 2**55 float64 counts
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate 256. PiB for an array with shape (36028797018963968,)")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_n_fft_past_the_address_space_exits_2(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 1)
+    config = tmp_path / "front-end.cfg"
+    config.write_text(f"n_fft = {2**50}\n", encoding="utf-8")  # an 18 x 2**50 float64 frame block
+    assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate 144. PiB for an array with shape (18, 1125899906842624)")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "command, done",
     [("extract", "processed 3 utterances"), ("augment", "processed 3 utterances"), ("stats", "accumulated")],
@@ -552,11 +596,32 @@ def test_missing_required_argument_exits_2(capsys):
     assert excinfo.value.code == 2
 
 
+def test_preset_is_not_an_option(tmp_path, capsys):
+    # `--policy` takes a preset name as well as a literal F,mF,R,mR
+    with pytest.raises(SystemExit) as excinfo:
+        main(["augment", "--preset", "libri-best", "--manifest", "m.tsv", "--out", str(tmp_path / "out")])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --preset libri-best" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = set()
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("specmask "):
+                args = build_parser().parse_args(shlex.split(line, comments=True)[1:])
+                commands.add(args.command)
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert commands == set(subparsers.choices)  # every subcommand has an example
+
+
 HELP = ("help", False, argparse.SUPPRESS, None, None)
 CORPUS = {"--config": ("config", False, None, None, None), "--manifest": ("manifest", True, None, None, None)}
 OUT = {"--out": ("out", True, None, None, None)}
 WORKERS = {"--workers": ("workers", False, 1, "int", None)}
-POLICY = {"--preset": ("preset", False, None, None, None), "--policy": ("policy", False, None, None, None)}
+POLICY = {"--policy": ("policy", False, None, None, None)}
 #: subcommand -> ({option strings: (dest, required, default, type name, choices)}, mutually exclusive groups)
 PINNED_ARGUMENTS = {
     "extract": ({**CORPUS, **OUT, **WORKERS}, []),
@@ -569,7 +634,7 @@ PINNED_ARGUMENTS = {
             "--mode": ("mode", False, "train", None, ("train", "eval")),
             "--stats": ("stats", False, None, None, None),
         },
-        [["--policy", "--preset"]],
+        [],
     ),
     "slice": (
         {
@@ -593,7 +658,7 @@ PINNED_ARGUMENTS = {
             "--seed": ("seed", False, 20260814, "int", None),
             "--out": ("out", False, "curve.csv", None, None),
         },
-        [["--policy", "--preset"]],
+        [],
     ),
 }
 

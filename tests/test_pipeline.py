@@ -463,7 +463,7 @@ def test_augmented_wav_tree_with_stats_is_pinned(tmp_path, workers):
     _golden_stats(tmp_path / "c.spfx-stats", 40)
     out = tmp_path / "out"
     assert main([
-        "augment", "--preset", "libri-best", "--seed", "3", "--stats", str(tmp_path / "c.spfx-stats"),
+        "augment", "--policy", "libri-best", "--seed", "3", "--stats", str(tmp_path / "c.spfx-stats"),
         "--workers", str(workers), "--manifest", str(manifest), "--out", str(out),
     ]) == 0
     assert _tree_digest(out) == GOLDEN_WAV_TREE

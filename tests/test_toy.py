@@ -231,7 +231,6 @@ def test_policy_none_ignores_mask_seed():
     a = train(ds, POLICY_PRESETS["none"], epochs=10, lr=0.3, seed=1)
     b = train(ds, POLICY_PRESETS["none"], epochs=10, lr=0.3, seed=999)
     assert a == b
-    assert train(ds, None, epochs=10, lr=0.3, seed=5) == a
 
 
 def test_dev_is_never_masked():
@@ -272,16 +271,16 @@ def test_masked_epoch_two_train_nll_differs():
 def test_divergence_raises_with_epoch_number():
     ds = generate_dataset(default_params(), 0)
     with pytest.raises(DivergenceError, match="epoch"):
-        train(ds, None, epochs=50, lr=1e5, seed=0)
+        train(ds, POLICY_PRESETS["none"], epochs=50, lr=1e5, seed=0)
 
 
 def test_train_validation():
     ds = generate_dataset(small_params(), 0)
     with pytest.raises(ConfigError, match="epochs must be >= 1, got 0"):
-        train(ds, None, epochs=0, lr=0.1, seed=0)
+        train(ds, POLICY_PRESETS["none"], epochs=0, lr=0.1, seed=0)
     for lr in (-0.1, math.nan, math.inf):
         with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
-            train(ds, None, epochs=1, lr=lr, seed=0)
+            train(ds, POLICY_PRESETS["none"], epochs=1, lr=lr, seed=0)
 
 
 def test_curve_csv_format():
