@@ -217,7 +217,9 @@ def _frame_geometry(signal: PcmSignal, cfg: DspConfig) -> tuple[int, int, int, i
 
     The last partial frame is dropped; raises ConfigError when the frame
     length or step rounds below one sample at the signal's rate and
-    EmptyInputError when the signal is shorter than one frame.
+    EmptyInputError when the signal is shorter than one frame.  A step of at
+    least the signal length gives the same single frame as any other, so the
+    step is clamped to that length and stays a valid byte stride.
     """
     frame_len = cfg.frame_length(signal.sample_rate)
     step = cfg.frame_step(signal.sample_rate)
@@ -229,6 +231,7 @@ def _frame_geometry(signal: PcmSignal, cfg: DspConfig) -> tuple[int, int, int, i
     size = signal.samples.size
     if size < frame_len:
         raise EmptyInputError(f"signal of {size} samples is shorter than one {frame_len}-sample frame")
+    step = min(step, size)
     return frame_len, step, cfg.fft_size(signal.sample_rate), (size - frame_len) // step + 1
 
 
@@ -327,12 +330,17 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fm
 
 
 def mel_energies(power: np.ndarray, cfg: DspConfig, sample_rate: int) -> FeatureMatrix:
-    """Filter-weighted band energies followed by log(max(x, log_floor))."""
+    """Filter-weighted band energies followed by log(max(x, log_floor)).
+
+    The floor and the log run in place on the matmul's own array, so the
+    returned matrix is the only one of its size that this allocates.
+    """
     n_fft = 2 * (power.shape[1] - 1)
     bank = _constant(mel_filterbank, cfg.n_mels, n_fft, sample_rate, cfg.fmin_hz, cfg.effective_fmax(sample_rate))
     energies = power @ bank.T
-    logmel = np.log(np.maximum(energies, cfg.log_floor))
-    return FeatureMatrix(data=logmel, frame_shift_ms=cfg.frame_shift_ms, kind="log_mel")
+    np.maximum(energies, cfg.log_floor, out=energies)
+    np.log(energies, out=energies)
+    return FeatureMatrix(data=energies, frame_shift_ms=cfg.frame_shift_ms, kind="log_mel")
 
 
 def dct_matrix(n: int) -> np.ndarray:
@@ -363,7 +371,10 @@ def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
     buffer, so neither the whole frame matrix nor the whole complex spectrum is
     ever built; mel, log and DCT then run once on the whole power matrix.  The
     bytes equal `power_spectrum(frame_and_window(...))` followed by the same
-    steps.
+    steps.  Each array is dropped after its last use: the frame buffer and
+    this call's reference to `signal` once the power matrix is full (so a
+    signal nothing else refers to is freed before the mel step), and the
+    power matrix once the log-mel matrix is built.
     """
     _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
     block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
@@ -371,8 +382,10 @@ def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
     for first in range(0, num_frames, FRAME_BLOCK):
         last = min(first + FRAME_BLOCK, num_frames)
         power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first:last])
-    del block
-    logmel = mel_energies(power, cfg, signal.sample_rate)
+    sample_rate = signal.sample_rate
+    del block, signal
+    logmel = mel_energies(power, cfg, sample_rate)
+    del power
     if cfg.feature == "mfcc":
         return mfcc_from_logmel(logmel, cfg.effective_n_coeffs())
     return logmel

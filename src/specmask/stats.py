@@ -85,7 +85,8 @@ def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
             raise ConfigError(f"channel count changed mid-stream: {mean.shape[0]} then {data.shape[1]}")
         batch_count = data.shape[0]
         batch_mean = data.mean(axis=0)
-        batch_m2 = ((data - batch_mean) ** 2).sum(axis=0)
+        deviations = data - batch_mean
+        batch_m2 = np.square(deviations, out=deviations).sum(axis=0)
         delta = batch_mean - mean
         total = count + batch_count
         mean = mean + delta * (batch_count / total)

@@ -421,6 +421,30 @@ def test_non_finite_config_value_exits_2_before_creating_the_output(tmp_path, ca
     assert not out.exists()
 
 
+def test_frame_shift_beyond_any_signal_gives_one_frame_per_utterance(tmp_path):
+    # 1e17 ms is 1.6e18 samples at 16 kHz, a byte stride past int64; any step
+    # of at least the signal length takes the same single frame.  The trees
+    # differ only in the frame shift that each SPFX header records.
+    manifest = build_corpus(tmp_path, 3)
+    trees = {}
+    for shift in (1e16, 1e17):
+        config = tmp_path / f"shift-{shift:g}.cfg"
+        config.write_text(f"frame_shift_ms = {shift:g}\n", encoding="utf-8")
+        out = tmp_path / f"out-{shift:g}"
+        assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]) == 0
+        trees[shift] = {}
+        for path in sorted(out.iterdir()):
+            if path.suffix == ".spfx":
+                features = read_spfx(path)
+                assert features.frame_shift_ms == np.float32(shift)
+                assert features.num_frames == 1
+                trees[shift][path.name] = features.data.tobytes()
+            else:
+                trees[shift][path.name] = path.read_bytes()
+    assert len(trees[1e17]) == 6
+    assert trees[1e17] == trees[1e16]
+
+
 def test_malformed_manifest_exits_2(tmp_path, capsys):
     manifest = tmp_path / "bad.tsv"
     manifest.write_text("one-field-only\n", encoding="utf-8")

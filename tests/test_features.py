@@ -494,7 +494,7 @@ _BIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_BIT_CASES))
 @pytest.mark.parametrize(
-    "length", ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s"]
+    "length", ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s", "silent-frames"]
 )
 def test_front_end_is_bit_identical_to_the_plain_route(case, length):
     cfg, rate = _BIT_CASES[case]
@@ -509,12 +509,20 @@ def test_front_end_is_bit_identical_to_the_plain_route(case, length):
         "block+1": frame_len + FRAME_BLOCK * step,
         "2block+1": frame_len + 2 * FRAME_BLOCK * step,
         "30s": 30 * rate,
+        "silent-frames": frame_len + 39 * step,
     }[length]
-    signal = noise_signal(num_samples, rate)
+    samples = noise_signal(num_samples, rate).samples
+    if length == "silent-frames":
+        # frames 11..15 pre-emphasize to zeros, so their mel energies are
+        # raised to log_floor in place before the log
+        samples[10 * step : 15 * step + frame_len] = 0.0
+    signal = PcmSignal(samples=samples, sample_rate=rate)
     frames = frame_and_window(signal, cfg)
     expected_frames = reference_frames(signal, cfg)
     assert frames.shape == expected_frames.shape
     assert frames.tobytes() == expected_frames.tobytes()
+    if length == "silent-frames":
+        assert not np.any(power_spectrum(expected_frames)[11:16])
     features = extract(signal, cfg)
     expected = reference_extract(signal, cfg)
     assert features.data.shape == expected.shape
@@ -544,21 +552,37 @@ def test_frame_ranges_are_rows_of_the_whole_matrix(case):
             frame_and_window(signal, cfg, first, last)
 
 
+def traced_extract_peak(signal: PcmSignal, cfg: DspConfig) -> int:
+    """tracemalloc peak of one `extract` call, with the caller holding the signal."""
+    extract(signal, cfg)  # the cached constants are built outside the measurement
+    tracemalloc.start()
+    try:
+        extract(signal, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_extract_peaks_below_one_frame_matrix():
     # the whole (T, n_fft) frame matrix is never built: frames are windowed and
     # transformed FRAME_BLOCK at a time
     cfg, rate = DSP_PRESETS["iwslt-like"], 16000
     signal = noise_signal(30 * rate, rate)
     num_frames = (signal.samples.size - cfg.frame_length(rate)) // cfg.frame_step(rate) + 1
-    frame_matrix_bytes = num_frames * cfg.fft_size(rate) * 8
-    extract(signal, cfg)  # the cached constants are built outside the measurement
-    tracemalloc.start()
-    try:
-        extract(signal, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < frame_matrix_bytes
+    assert traced_extract_peak(signal, cfg) < num_frames * cfg.fft_size(rate) * 8
+
+
+@pytest.mark.parametrize("preset", ["iwslt-like", "librispeech-like"])
+def test_extract_peaks_below_power_plus_two_feature_matrices(preset):
+    # the floor and log run in place on the mel matmul's array and the power
+    # matrix is freed before the DCT, so at the peak the power matrix and at
+    # most one feature matrix are live
+    cfg, rate = DSP_PRESETS[preset], 16000
+    signal = noise_signal(30 * rate, rate)
+    num_frames = (signal.samples.size - cfg.frame_length(rate)) // cfg.frame_step(rate) + 1
+    power_bytes = num_frames * (cfg.fft_size(rate) // 2 + 1) * 8
+    feature_bytes = num_frames * cfg.n_mels * 8
+    assert traced_extract_peak(signal, cfg) < power_bytes + 2 * feature_bytes
 
 
 def test_pre_emphasis_is_bit_identical_to_the_plain_formula():

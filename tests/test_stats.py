@@ -61,6 +61,31 @@ def test_accumulate_matches_two_pass_oracle():
     assert np.allclose(stats.variance, naive_var, rtol=1e-9, atol=1e-12)
 
 
+def test_accumulate_is_bit_identical_to_the_two_temporary_formula():
+    # the squared deviations are formed in one array; the bytes are those of
+    # ((data - batch_mean) ** 2).sum(axis=0) merged the same way
+    rng = np.random.default_rng(13)
+    chunks = [
+        FeatureMatrix(data=rng.normal(loc=-2.0, scale=4.0, size=(rows, 80)), frame_shift_ms=10.0, kind="mfcc")
+        for rows in (1, 2, 37, 64, 65, 300, 3, 1499)
+    ]
+    count, mean, m2 = 0, np.zeros(80), np.zeros(80)
+    for matrix in chunks:
+        data = matrix.data
+        batch_count = data.shape[0]
+        batch_mean = data.mean(axis=0)
+        batch_m2 = ((data - batch_mean) ** 2).sum(axis=0)
+        delta = batch_mean - mean
+        total = count + batch_count
+        mean = mean + delta * (batch_count / total)
+        m2 = m2 + batch_m2 + delta**2 * (count * batch_count / total)
+        count = total
+    result = accumulate_stats(chunks)
+    assert result.count == count
+    assert result.mean.tobytes() == mean.tobytes()
+    assert result.variance.tobytes() == np.maximum(m2 / count, 0.0).tobytes()
+
+
 def test_accumulate_order_independent():
     rng = np.random.default_rng(11)
     chunks = matrices_from(rng.normal(size=(600, 5)), 6)
