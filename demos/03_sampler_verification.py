@@ -4,7 +4,8 @@ Checking the sampler against exact enumeration
 
 The expected number of positions covered by the mask union can be
 enumerated exactly on small axes, and it also has a closed form in integer
-arithmetic that returns the same float; `verify` uses the closed form.
+arithmetic that returns the same float in time linear in the axis; `verify`
+uses the closed form, and the single-mask mean is its one-mask case.
 Monte Carlo from the shipped sampler must land within three standard errors
 of it, cell by cell.
 """
@@ -23,12 +24,14 @@ from specmask import (
 trials = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
 
 # The worked single-mask example: width uniform on {0..4}, axis of 10.
-# Enumerating all 50 (width, start) pairs sums clamped lengths to 90.
+# Enumerating all 50 (width, start) pairs sums clamped lengths to 90; the
+# closed form with one mask gets the same 90/50.
 print(f"exact_masked_mean(4, 10) = {exact_masked_mean(4, 10)}  (90/50)")
 
 # Two masks interact through the no-replacement rule and overlap, so the
-# oracle enumerates ordered distinct start pairs instead.  The closed form
-# gets the same number without enumerating; `verify` uses it.
+# brute force enumerates ordered distinct start pairs instead.  The closed
+# form gets the same number without enumerating: per position, the chance
+# that no mask covers it, in integers; `verify` uses it.
 exact_two = exact_masked_mean_multi(4, 2, 10)
 print(f"exact_masked_mean_multi(4, 2, 10) = {exact_two:.6f}")
 print(f"exact_masked_mean_closed(4, 2, 10) = {exact_masked_mean_closed(4, 2, 10):.6f}")

@@ -11,7 +11,6 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EmptyInputError,
-    EnumerationTooLargeError,
     FormatError,
     ManifestError,
     MaskBoundsError,

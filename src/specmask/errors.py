@@ -29,9 +29,5 @@ class MaskBoundsError(SpecmaskError):
     """A mask interval extends outside the feature matrix it is applied to."""
 
 
-class EnumerationTooLargeError(SpecmaskError):
-    """An exact enumeration was refused because the instance exceeds the size bound."""
-
-
 class DivergenceError(SpecmaskError):
     """Training aborted because the loss became NaN or infinite."""

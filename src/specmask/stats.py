@@ -1,9 +1,10 @@
 """Corpus standardization statistics and sampler-verification oracles.
 
 The exact oracles work from the sampler's distribution directly and never
-call the sampler: a closed form, and a brute-force enumeration that serves as
-the closed form's test oracle.  The Monte Carlo harness drives the real
-sampler.  The closed form and Monte Carlo are compared within 3 standard
+call the sampler: a closed form in O(extent * count) integer steps, whose
+count-1 case is the single-mask mean, and a brute-force enumeration that
+serves as the closed form's test oracle.  The Monte Carlo harness drives the
+real sampler.  The closed form and Monte Carlo are compared within 3 standard
 errors, which is what `verify` reports.
 """
 
@@ -16,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, EnumerationTooLargeError
+from .errors import ConfigError, EmptyInputError
 from .features import FeatureMatrix
 from .masking import sample_axis_masks_batch
 from .rng import RngState, derive_utterance_seed, substream_batch
@@ -123,11 +124,9 @@ def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | N
 
 def exact_masked_mean(max_width: int, extent: int) -> float:
     """Exact E[masked positions] for one mask: uniform width {0..max_width},
-    uniform start {0..extent-1}, length clamped to min(width, extent - start)."""
-    if extent < 1:
-        raise ValueError(f"extent must be >= 1, got {extent}")
-    total = sum(min(w, extent - s) for w in range(max_width + 1) for s in range(extent))
-    return total / ((max_width + 1) * extent)
+    uniform start {0..extent-1}, length clamped to min(width, extent - start).
+    The count-1 case of `exact_masked_mean_closed`."""
+    return exact_masked_mean_closed(max_width, 1, extent)
 
 
 def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
@@ -139,7 +138,7 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     are capped exactly as the sampler caps them.
     """
     if extent < 1:
-        raise ValueError(f"extent must be >= 1, got {extent}")
+        raise ConfigError(f"extent must be >= 1, got {extent}")
     effective = min(count, extent)
     if effective == 0:
         return 0.0
@@ -147,7 +146,7 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     num_start_tuples = math.perm(extent, effective)
     size = num_width_tuples * num_start_tuples
     if size > MAX_ENUMERATION:
-        raise EnumerationTooLargeError(
+        raise ConfigError(
             f"enumeration size {size} exceeds the {MAX_ENUMERATION} bound "
             f"((max_width+1)^count * extent!/(extent-count)! with max_width={max_width}, "
             f"count={effective}, extent={extent})"
@@ -172,24 +171,27 @@ def exact_masked_mean_closed(max_width: int, count: int, extent: int) -> float:
     with probability e_k(a_0p..a_{extent-1,p}) / ((max_width+1)^k * C(extent, k)),
     where e_k is the elementary symmetric polynomial and a_sp counts the
     widths with which a mask starting at s misses p: max_width+1 when s > p,
-    min(p-s+1, max_width+1) otherwise.  Integer arithmetic throughout, so the
-    result is the correctly rounded float of the same rational
-    `exact_masked_mean_multi` enumerates.
+    min(p-s+1, max_width+1) otherwise.  Those miss counts are 1..q once each
+    (q = min(p+1, max_width)) and max_width+1 for the other extent-q starts,
+    so e_k = sum_j e_j(1..q) * C(extent-q, k-j) * (max_width+1)^(k-j), with
+    e_j(1..q) extended by one factor each time q grows: O(extent*k) steps.
+    Integer arithmetic throughout, so the result is the correctly rounded
+    float of the same rational `exact_masked_mean_multi` enumerates.
     """
     if extent < 1:
-        raise ValueError(f"extent must be >= 1, got {extent}")
+        raise ConfigError(f"extent must be >= 1, got {extent}")
     k = min(count, extent)
     if k == 0:
         return 0.0
     widths = max_width + 1
+    small = [1] + [0] * k  # e_0..e_k of the miss counts 1..q
     uncovered = 0  # sum over positions of e_k(a_0p..a_{extent-1,p})
     for p in range(extent):
-        e = [1] + [0] * k  # e_0..e_k over the factors seen so far
-        for s in range(extent):
-            a = widths if s > p else min(p - s + 1, widths)
+        q = min(p + 1, max_width)
+        if q == p + 1:  # the miss count q joins the small ones
             for j in range(k, 0, -1):
-                e[j] += a * e[j - 1]
-        uncovered += e[k]
+                small[j] += q * small[j - 1]
+        uncovered += sum(small[j] * math.comb(extent - q, k - j) * widths ** (k - j) for j in range(k + 1))
     denominator = widths**k * math.comb(extent, k)
     return (extent * denominator - uncovered) / denominator
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from specmask.errors import ConfigError, EmptyInputError, EnumerationTooLargeError
+from specmask.errors import ConfigError, EmptyInputError
 from specmask.features import FeatureMatrix
 from specmask.masking import sample_axis_masks_batch
 from specmask.rng import RngState, substream_batch
@@ -249,7 +249,7 @@ def test_exact_multi_small_case_by_hand():
 
 
 def test_exact_multi_refuses_large_instances():
-    with pytest.raises(EnumerationTooLargeError, match="bound"):
+    with pytest.raises(ConfigError, match="bound"):
         exact_masked_mean_multi(6, 8, 12)
 
 
@@ -258,28 +258,53 @@ def test_closed_form_equals_brute_force_on_every_feasible_cell():
     for extent, max_width, count in itertools.product(range(1, 13), range(0, 7), range(1, 4)):
         try:
             brute = exact_masked_mean_multi(max_width, count, extent)
-        except EnumerationTooLargeError:
+        except ConfigError:
             continue
         assert exact_masked_mean_closed(max_width, count, extent) == brute, (extent, max_width, count)
         compared += 1
     assert compared == 252
 
 
-@pytest.mark.parametrize("max_width, count, extent", [(4, 0, 10), (0, 0, 1), (2, 5, 3), (3, 9, 4), (6, 2, 1)])
+@pytest.mark.parametrize(
+    "max_width, count, extent",
+    [
+        (4, 0, 10),
+        (0, 0, 1),
+        (2, 5, 3),
+        (3, 9, 4),
+        (6, 2, 1),
+        # paper-policy widths (masks up to 100 frames, two of them) on axes the brute force accepts
+        (100, 1, 3000),
+        (40, 2, 20),
+        (27, 2, 40),
+    ],
+)
 def test_closed_form_zero_and_capped_counts(max_width, count, extent):
     assert exact_masked_mean_closed(max_width, count, extent) == exact_masked_mean_multi(max_width, count, extent)
 
 
+@pytest.mark.parametrize(
+    "max_width, count, extent, expected",
+    [(100, 2, 3000, "98.09025024843264"), (100, 20, 1000, "626.6980047224476"), (27, 2, 80, "22.22637884267631")],
+)
+def test_closed_form_pinned_paper_scale_values(max_width, count, extent, expected):
+    # the floats of the direct sum over every (position, start) pair; the brute force refuses the first two
+    assert repr(exact_masked_mean_closed(max_width, count, extent)) == expected
+
+
 def test_closed_form_covers_cells_the_brute_force_refuses():
-    with pytest.raises(EnumerationTooLargeError):
+    with pytest.raises(ConfigError):
         exact_masked_mean_multi(6, 8, 12)
     value = exact_masked_mean_closed(6, 8, 12)
     assert math.isfinite(value) and 0.0 < value < 12.0
 
 
 def test_closed_form_rejects_empty_axis():
-    with pytest.raises(ValueError):
-        exact_masked_mean_closed(3, 1, 0)
+    for oracle in (exact_masked_mean_closed, exact_masked_mean_multi):
+        with pytest.raises(ConfigError, match="extent must be >= 1"):
+            oracle(3, 1, 0)
+    with pytest.raises(ConfigError, match="extent must be >= 1"):
+        exact_masked_mean(3, 0)
 
 
 # ------------------------------------------------------------- Monte Carlo
