@@ -3,9 +3,11 @@
 Masks zero out whole frame intervals [t, t+tau) or channel intervals
 [f, f+phi).  Widths are uniform on {0..max_width} inclusive, start positions
 uniform over the whole axis with end-clamping, and start positions within one
-call are pairwise distinct (rejection-resampled).  All randomness flows
-through explicit RngState values, so augmentation is reproducible and safe to
-parallelize across utterances.
+call are pairwise distinct (rejection-resampled).  Both samplers refuse a
+negative width or count, or an empty axis, through `check_axis`, the check
+the exact oracles share.  All randomness flows through explicit RngState
+values, so augmentation is reproducible and safe to parallelize across
+utterances.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError, MaskBoundsError
+from .errors import ConfigError, FormatError, MaskBoundsError
 from .features import FeatureMatrix
 from .rng import MASK64, RngState, uniform, uniform_batch
 
@@ -92,6 +94,16 @@ def resolve_policy(spec: str) -> AugmentPolicy:
         raise FormatError(f"policy {spec!r} is invalid: {exc}") from exc
 
 
+def check_axis(max_width: int, count: int, extent: int) -> None:
+    """The one precondition of an axis draw: ConfigError for a negative width or count, or an empty axis."""
+    if max_width < 0:
+        raise ConfigError(f"max_width must be >= 0, got {max_width}")
+    if count < 0:
+        raise ConfigError(f"count must be >= 0, got {count}")
+    if extent < 1:
+        raise ConfigError(f"extent must be >= 1, got {extent}")
+
+
 def sample_axis_masks(
     max_width: int, count: int, extent: int, axis: str, rng: RngState
 ) -> tuple[list[MaskSpec], RngState]:
@@ -103,8 +115,7 @@ def sample_axis_masks(
     length is min(width, extent - start).  A count above the extent is capped
     at the extent, since only `extent` distinct starts exist.
     """
-    if extent < 1:
-        raise ValueError(f"extent must be >= 1, got {extent}")
+    check_axis(max_width, count, extent)
     masks: list[MaskSpec] = []
     used: set[int] = set()
     for _ in range(min(count, extent)):
@@ -131,8 +142,7 @@ def sample_axis_masks_batch(
     start repeats an earlier one redraw, and they alone are carried through
     the redraw loop.
     """
-    if extent < 1:
-        raise ValueError(f"extent must be >= 1, got {extent}")
+    check_axis(max_width, count, extent)
     states = np.asarray(states, dtype=np.uint64)
     effective = min(count, extent)
     # row i is mask i of every trial; every cell is written below

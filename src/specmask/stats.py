@@ -3,9 +3,11 @@
 The exact oracles work from the sampler's distribution directly and never
 call the sampler: a closed form in O(extent * count) integer steps, whose
 count-1 case is the single-mask mean, and a brute-force enumeration that
-serves as the closed form's test oracle.  The Monte Carlo harness drives the
-real sampler.  The closed form and Monte Carlo are compared within 3 standard
-errors, which is what `verify` reports.
+serves as the closed form's test oracle.  They refuse a negative width or
+count, or an empty axis, through `masking.check_axis`, the samplers' own
+check.  The Monte Carlo harness drives the real sampler.  The closed form
+and Monte Carlo are compared within 3 standard errors, which is what
+`verify` reports.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyInputError
 from .features import FeatureMatrix
-from .masking import sample_axis_masks_batch
+from .masking import check_axis, sample_axis_masks_batch
 from .rng import RngState, derive_utterance_seed, substream_batch
 
 VARIANCE_FLOOR = 1e-8
@@ -137,8 +139,7 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     ordered distinct start tuples at equal weight.  Counts above the extent
     are capped exactly as the sampler caps them.
     """
-    if extent < 1:
-        raise ConfigError(f"extent must be >= 1, got {extent}")
+    check_axis(max_width, count, extent)
     effective = min(count, extent)
     if effective == 0:
         return 0.0
@@ -178,8 +179,7 @@ def exact_masked_mean_closed(max_width: int, count: int, extent: int) -> float:
     Integer arithmetic throughout, so the result is the correctly rounded
     float of the same rational `exact_masked_mean_multi` enumerates.
     """
-    if extent < 1:
-        raise ConfigError(f"extent must be >= 1, got {extent}")
+    check_axis(max_width, count, extent)
     k = min(count, extent)
     if k == 0:
         return 0.0
@@ -303,26 +303,14 @@ def verify_grid(
         for max_width in max_widths:
             for count in counts:
                 exact = exact_masked_mean_closed(max_width, count, extent)
-                passed = False
-                reran = False
                 for attempt in range(2):
                     state = derive_utterance_seed(seed, f"verify:{extent}:{max_width}:{count}:{attempt}")
                     report = monte_carlo_masked_mean(max_width, count, extent, trials, RngState(state))
                     passed = abs(report.mc_mean - exact) <= 3.0 * report.mc_stderr
                     if passed:
                         break
-                    reran = attempt == 0
-                rows.append(
-                    GridRow(
-                        extent=extent,
-                        max_width=max_width,
-                        count=count,
-                        exact=exact,
-                        mc_mean=report.mc_mean,
-                        mc_stderr=report.mc_stderr,
-                        trials=trials,
-                        passed=passed,
-                        reran=reran,
-                    )
-                )
+                rows.append(GridRow(
+                    extent=extent, max_width=max_width, count=count, exact=exact, mc_mean=report.mc_mean,
+                    mc_stderr=report.mc_stderr, trials=trials, passed=passed, reran=attempt == 1,
+                ))
     return rows

@@ -641,6 +641,17 @@ def test_readme_cli_examples_parse():
     assert commands == set(subparsers.choices)  # every subcommand has an example
 
 
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    write_wav(tmp_path / "utt.wav", 0.3 * np.sin(np.arange(16000) / 5.0), 16000)
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["masked"].data.shape == namespace["features"].data.shape
+    assert [m.axis for m in namespace["masks"]] == ["time", "time", "frequency"]
+
+
 HELP = ("help", False, argparse.SUPPRESS, None, None)
 CORPUS = {"--config": ("config", False, None, None, None), "--manifest": ("manifest", True, None, None, None)}
 OUT = {"--out": ("out", True, None, None, None)}

@@ -10,7 +10,7 @@ import pytest
 
 from specmask.errors import ConfigError, EmptyInputError
 from specmask.features import FeatureMatrix
-from specmask.masking import sample_axis_masks_batch
+from specmask.masking import sample_axis_masks, sample_axis_masks_batch
 from specmask.rng import RngState, substream_batch
 from specmask import stats
 from specmask.stats import (
@@ -299,6 +299,31 @@ def test_closed_form_covers_cells_the_brute_force_refuses():
     assert math.isfinite(value) and 0.0 < value < 12.0
 
 
+AXIS_ENTRY_POINTS = {
+    "sample_axis_masks": lambda w, c, e: sample_axis_masks(w, c, e, "time", RngState(0)),
+    "sample_axis_masks_batch": lambda w, c, e: sample_axis_masks_batch(w, c, e, np.arange(4, dtype=np.uint64)),
+    "exact_masked_mean_multi": exact_masked_mean_multi,
+    "exact_masked_mean_closed": exact_masked_mean_closed,
+    "monte_carlo_masked_mean": lambda w, c, e: monte_carlo_masked_mean(w, c, e, 200, RngState(0)),
+}
+
+
+@pytest.mark.parametrize("entry", AXIS_ENTRY_POINTS)
+@pytest.mark.parametrize(
+    "triple, message",
+    [
+        ((-1, 1, 5), "max_width must be >= 0, got -1"),
+        ((2, -1, 5), "count must be >= 0, got -1"),
+        ((2, 1, 0), "extent must be >= 1, got 0"),
+    ],
+    ids=["negative-width", "negative-count", "empty-axis"],
+)
+def test_samplers_and_oracles_refuse_a_bad_axis_alike(entry, triple, message):
+    with pytest.raises(ConfigError) as excinfo:
+        AXIS_ENTRY_POINTS[entry](*triple)
+    assert str(excinfo.value) == message
+
+
 def test_closed_form_rejects_empty_axis():
     for oracle in (exact_masked_mean_closed, exact_masked_mean_multi):
         with pytest.raises(ConfigError, match="extent must be >= 1"):
@@ -453,6 +478,19 @@ def test_verify_grid_smoke():
     # exact values are embedded per cell
     for row in rows:
         assert row.exact == exact_masked_mean_multi(row.max_width, row.count, row.extent)
+
+
+def test_verify_grid_marks_a_cell_that_failed_twice_as_rerun(monkeypatch):
+    attempts = []
+
+    def wrong_mean(*args):
+        attempts.append(args)
+        return stats.MaskFractionReport(mc_mean=99.0, mc_stderr=0.01)
+
+    monkeypatch.setattr(stats, "monte_carlo_masked_mean", wrong_mean)
+    (row,) = verify_grid([4], [2], [1], 1000, 1)
+    assert len(attempts) == 2
+    assert (row.passed, row.reran) == (False, True)
 
 
 def test_stderr_formula():
