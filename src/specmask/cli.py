@@ -4,13 +4,15 @@ Exit codes: 0 on success; 1 when individual utterances failed, a verify
 cell failed or demo training diverged; 2 on every other package error, on
 input or output paths that cannot be used and on an allocation refused for
 a size the caller chose.
+
+`demo`, `render` and `slice` import `toy`, `render` and `fractions` in their
+handlers, so the other subcommands start without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -19,18 +21,8 @@ from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import POLICY_PRESETS, AugmentPolicy, masks_from_text, resolve_policy
 from .pipeline import RUN_MODES, RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
-from .render import render_masks_pgm
 from .spfx import read_spfx, write_stats_container
 from .stats import accumulate_stats, verify_grid
-from .toy import (
-    DEFAULT_DEMO_EPOCHS,
-    DEFAULT_DEMO_LR,
-    DEFAULT_DEMO_POLICY,
-    DEFAULT_DEMO_SEED,
-    default_params,
-    generate_dataset,
-    train,
-)
 
 VERIFY_EXTENTS = range(1, 13)
 VERIFY_MAX_WIDTHS = range(0, 7)
@@ -96,6 +88,8 @@ def _cmd_augment(args) -> int:
 
 
 def _cmd_slice(args) -> int:
+    from fractions import Fraction
+
     try:
         fractions = [Fraction(token) for token in args.fractions.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -112,6 +106,8 @@ def _cmd_slice(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .render import render_masks_pgm
+
     features = read_spfx(args.features)
     masks = masks_from_text(Path(args.masks).read_text(encoding="utf-8")) if args.masks else []
     render_masks_pgm(features, masks, args.out)
@@ -136,9 +132,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    policy = _policy_from_args(args, DEFAULT_DEMO_POLICY)
-    dataset = generate_dataset(default_params(), args.seed)
-    curve = train(dataset, policy, args.epochs, args.lr, args.seed)
+    from . import toy
+
+    policy = _policy_from_args(args, toy.DEFAULT_DEMO_POLICY)
+    epochs = toy.DEFAULT_DEMO_EPOCHS if args.epochs is None else args.epochs
+    lr = toy.DEFAULT_DEMO_LR if args.lr is None else args.lr
+    seed = toy.DEFAULT_DEMO_SEED if args.seed is None else args.seed
+    dataset = toy.generate_dataset(toy.default_params(), seed)
+    curve = toy.train(dataset, policy, epochs, lr, seed)
     Path(args.out).write_text(curve.to_csv(), encoding="utf-8")
     print(
         f"epochs={curve.num_epochs} final train_nll={curve.train_nll[-1]:.4f} "
@@ -199,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="train the toy classifier and emit its learning curve")
     p.add_argument("--policy", help="policy preset name or literal F,mF,R,mR (default: the shipped demo policy)")
-    p.add_argument("--epochs", type=int, default=DEFAULT_DEMO_EPOCHS)
-    p.add_argument("--lr", type=float, default=DEFAULT_DEMO_LR)
-    p.add_argument("--seed", type=int, default=DEFAULT_DEMO_SEED)
+    p.add_argument("--epochs", type=int, help="training epochs (default: the toy demo's)")
+    p.add_argument("--lr", type=float, help="learning rate (default: the toy demo's)")
+    p.add_argument("--seed", type=int, help="dataset and masking seed (default: the toy demo's)")
     p.add_argument("--out", default="curve.csv", help="output CSV path")
     p.set_defaults(func=_cmd_demo)
 

@@ -4,14 +4,14 @@ Masks zero out whole frame intervals [t, t+tau) or channel intervals
 [f, f+phi).  Widths are uniform on {0..max_width} inclusive, start positions
 uniform over the whole axis with end-clamping, and start positions within one
 call are pairwise distinct (rejection-resampled).  Both samplers refuse a
-negative width or count, or an empty axis, through `check_axis`, the check
-the exact oracles share.  All randomness flows through explicit RngState
-values, so augmentation is reproducible and safe to parallelize across
-utterances.
+bad (width, count, extent) triple through `check_axis`, the check the exact
+oracles share.  All randomness flows through explicit RngState values, so
+augmentation is reproducible and safe to parallelize across utterances.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,14 +94,26 @@ def resolve_policy(spec: str) -> AugmentPolicy:
         raise FormatError(f"policy {spec!r} is invalid: {exc}") from exc
 
 
-def check_axis(max_width: int, count: int, extent: int) -> None:
-    """The one precondition of an axis draw: ConfigError for a negative width or count, or an empty axis."""
+def check_axis(max_width: int, count: int, extent: int) -> tuple[int, int, int]:
+    """The one precondition of an axis draw, returned as Python ints.
+
+    ConfigError for a value that is not an integer (numpy integers pass), a
+    negative width or count, a width whose draw bound exceeds 2**64, or an
+    empty axis.
+    """
+    try:
+        max_width, count, extent = operator.index(max_width), operator.index(count), operator.index(extent)
+    except TypeError:
+        raise ConfigError(f"max_width, count and extent must be integers, got {(max_width, count, extent)}") from None
     if max_width < 0:
         raise ConfigError(f"max_width must be >= 0, got {max_width}")
+    if max_width > MASK64:
+        raise ConfigError(f"max_width must be <= 2**64 - 1, got {max_width}")
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     if extent < 1:
         raise ConfigError(f"extent must be >= 1, got {extent}")
+    return max_width, count, extent
 
 
 def sample_axis_masks(
@@ -115,7 +127,7 @@ def sample_axis_masks(
     length is min(width, extent - start).  A count above the extent is capped
     at the extent, since only `extent` distinct starts exist.
     """
-    check_axis(max_width, count, extent)
+    max_width, count, extent = check_axis(max_width, count, extent)
     masks: list[MaskSpec] = []
     used: set[int] = set()
     for _ in range(min(count, extent)):
@@ -142,7 +154,7 @@ def sample_axis_masks_batch(
     start repeats an earlier one redraw, and they alone are carried through
     the redraw loop.
     """
-    check_axis(max_width, count, extent)
+    max_width, count, extent = check_axis(max_width, count, extent)
     states = np.asarray(states, dtype=np.uint64)
     effective = min(count, extent)
     # row i is mask i of every trial; every cell is written below

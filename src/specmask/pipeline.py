@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import typing
 from collections.abc import Callable, Iterator, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -83,7 +82,12 @@ def map_records(records: Sequence[ManifestRecord], task: Callable, num_workers: 
         except RECORD_ERRORS as exc:
             return False, str(exc)
 
-    with ThreadPoolExecutor(max_workers=num_workers) if num_workers > 1 else nullcontext() as pool:
+    pool = None
+    if num_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # it loads `logging`: import both only for a pooled run
+
+        pool = ThreadPoolExecutor(max_workers=num_workers)
+    with pool or nullcontext():
         outcomes = pool.map(attempt, records) if pool else map(attempt, records)
         for record, (ok, value) in zip(records, outcomes):
             if not ok:

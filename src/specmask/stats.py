@@ -3,11 +3,10 @@
 The exact oracles work from the sampler's distribution directly and never
 call the sampler: a closed form in O(extent * count) integer steps, whose
 count-1 case is the single-mask mean, and a brute-force enumeration that
-serves as the closed form's test oracle.  They refuse a negative width or
-count, or an empty axis, through `masking.check_axis`, the samplers' own
-check.  The Monte Carlo harness drives the real sampler.  The closed form
-and Monte Carlo are compared within 3 standard errors, which is what
-`verify` reports.
+serves as the closed form's test oracle.  They refuse a bad (width, count,
+extent) triple through `masking.check_axis`, the samplers' own check.  The
+Monte Carlo harness drives the real sampler.  The closed form and Monte
+Carlo are compared within 3 standard errors, which is what `verify` reports.
 """
 
 from __future__ import annotations
@@ -139,7 +138,7 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     ordered distinct start tuples at equal weight.  Counts above the extent
     are capped exactly as the sampler caps them.
     """
-    check_axis(max_width, count, extent)
+    max_width, count, extent = check_axis(max_width, count, extent)
     effective = min(count, extent)
     if effective == 0:
         return 0.0
@@ -179,7 +178,7 @@ def exact_masked_mean_closed(max_width: int, count: int, extent: int) -> float:
     Integer arithmetic throughout, so the result is the correctly rounded
     float of the same rational `exact_masked_mean_multi` enumerates.
     """
-    check_axis(max_width, count, extent)
+    max_width, count, extent = check_axis(max_width, count, extent)
     k = min(count, extent)
     if k == 0:
         return 0.0

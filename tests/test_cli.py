@@ -324,6 +324,34 @@ def test_demo_writes_learning_curve(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "options, expected",
+    [
+        ([], None),
+        (["--epochs", "3", "--lr", "0", "--seed", "0"], (3, 0.0, 0)),
+    ],
+    ids=["defaults", "given"],
+)
+def test_demo_takes_unset_training_values_from_toy(tmp_path, monkeypatch, options, expected):
+    from specmask import toy
+
+    class Trained(Exception):
+        pass
+
+    seen = {}
+    monkeypatch.setattr(toy, "generate_dataset", lambda params, seed: seen.update(dataset_seed=seed))
+
+    def train(dataset, policy, epochs, lr, seed):
+        seen.update(policy=policy, epochs=epochs, lr=lr, seed=seed)
+        raise Trained
+
+    monkeypatch.setattr(toy, "train", train)
+    with pytest.raises(Trained):
+        main(["demo", *options, "--out", str(tmp_path / "curve.csv")])
+    epochs, lr, seed = expected or (toy.DEFAULT_DEMO_EPOCHS, toy.DEFAULT_DEMO_LR, toy.DEFAULT_DEMO_SEED)
+    assert seen == {"dataset_seed": seed, "policy": toy.DEFAULT_DEMO_POLICY, "epochs": epochs, "lr": lr, "seed": seed}
+
+
 def test_demo_policy_none_differs_from_default(tmp_path):
     masked = tmp_path / "masked.csv"
     clean = tmp_path / "clean.csv"
@@ -688,9 +716,9 @@ PINNED_ARGUMENTS = {
     "demo": (
         {
             **POLICY,
-            "--epochs": ("epochs", False, 200, "int", None),
-            "--lr": ("lr", False, 0.5, "float", None),
-            "--seed": ("seed", False, 20260814, "int", None),
+            "--epochs": ("epochs", False, None, "int", None),
+            "--lr": ("lr", False, None, "float", None),
+            "--seed": ("seed", False, None, "int", None),
             "--out": ("out", False, "curve.csv", None, None),
         },
         [],

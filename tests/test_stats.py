@@ -324,6 +324,39 @@ def test_samplers_and_oracles_refuse_a_bad_axis_alike(entry, triple, message):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("entry", AXIS_ENTRY_POINTS)
+def test_samplers_and_oracles_refuse_a_width_above_the_draw_bound(entry):
+    # a width draw is uniform on {0..max_width}, a bound the rng caps at 2**64
+    with pytest.raises(ConfigError) as excinfo:
+        AXIS_ENTRY_POINTS[entry](2**64, 1, 5)
+    assert str(excinfo.value) == "max_width must be <= 2**64 - 1, got 18446744073709551616"
+
+
+@pytest.mark.parametrize("entry", AXIS_ENTRY_POINTS)
+@pytest.mark.parametrize("triple", [(2.5, 1, 5), (2, 1.0, 5), (2, 1, 5.0)], ids=["width", "count", "extent"])
+def test_samplers_and_oracles_refuse_a_non_integer_axis_value(entry, triple):
+    with pytest.raises(ConfigError) as excinfo:
+        AXIS_ENTRY_POINTS[entry](*triple)
+    assert str(excinfo.value) == f"max_width, count and extent must be integers, got {triple}"
+
+
+@pytest.mark.parametrize("entry", AXIS_ENTRY_POINTS)
+def test_numpy_integer_axis_values_act_as_python_ints(entry):
+    draw = AXIS_ENTRY_POINTS[entry]
+    np.testing.assert_equal(draw(np.int64(3), np.uint8(2), np.int32(7)), draw(3, 2, 7))
+
+
+def test_top_width_as_numpy_uint64_draws_as_python_int():
+    # max_width + 1 must not wrap to 0 in uint64 arithmetic
+    states = np.arange(4, dtype=np.uint64)
+    np.testing.assert_equal(
+        sample_axis_masks_batch(np.uint64(2**64 - 1), 1, 5, states), sample_axis_masks_batch(2**64 - 1, 1, 5, states)
+    )
+    assert sample_axis_masks(np.uint64(2**64 - 1), 1, 5, "time", RngState(0)) == sample_axis_masks(
+        2**64 - 1, 1, 5, "time", RngState(0)
+    )
+
+
 def test_closed_form_rejects_empty_axis():
     for oracle in (exact_masked_mean_closed, exact_masked_mean_multi):
         with pytest.raises(ConfigError, match="extent must be >= 1"):
