@@ -1,13 +1,13 @@
 """
-Checking the sampler against exact enumeration
-==============================================
+Checking the sampler against the exact expected coverage
+========================================================
 
-The expected number of positions covered by the mask union can be
-enumerated exactly on small axes, and it also has a closed form in integer
-arithmetic that returns the same float in time linear in the axis; `verify`
-uses the closed form, and the single-mask mean is its one-mask case.
-Monte Carlo from the shipped sampler must land within three standard errors
-of it, cell by cell.
+The expected number of positions covered by the mask union has a closed
+form in integer arithmetic, exact and linear in the axis; `verify` uses
+it, and the single-mask mean is its one-mask case.  The test suite checks
+it against a brute-force enumeration of every (width, start) tuple on
+small axes.  Monte Carlo from the shipped sampler must land within three
+standard errors of it, cell by cell.
 """
 
 import sys
@@ -15,7 +15,6 @@ import sys
 from specmask import (
     RngState,
     exact_masked_mean,
-    exact_masked_mean_closed,
     exact_masked_mean_multi,
     monte_carlo_masked_mean,
     verify_grid,
@@ -26,15 +25,14 @@ trials = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
 # The worked single-mask example: width uniform on {0..4}, axis of 10.
 # Enumerating all 50 (width, start) pairs sums clamped lengths to 90; the
 # closed form with one mask gets the same 90/50.
-print(f"exact_masked_mean(4, 10) = {exact_masked_mean(4, 10)}  (90/50)")
+clamped = sum(min(width, 10 - start) for width in range(5) for start in range(10))
+print(f"exact_masked_mean(4, 10) = {exact_masked_mean(4, 10)}  ({clamped}/50)")
 
-# Two masks interact through the no-replacement rule and overlap, so the
-# brute force enumerates ordered distinct start pairs instead.  The closed
-# form gets the same number without enumerating: per position, the chance
-# that no mask covers it, in integers; `verify` uses it.
+# Two masks interact through the no-replacement rule and overlap.  The
+# closed form does not enumerate them: per position, it counts the chance
+# that no mask covers it, in integers.
 exact_two = exact_masked_mean_multi(4, 2, 10)
 print(f"exact_masked_mean_multi(4, 2, 10) = {exact_two:.6f}")
-print(f"exact_masked_mean_closed(4, 2, 10) = {exact_masked_mean_closed(4, 2, 10):.6f}")
 
 # One Monte Carlo cell, by hand.
 report = monte_carlo_masked_mean(4, 2, 10, trials, RngState(123))

@@ -32,8 +32,8 @@ _EXPORTS = {
     "rng": ("RngState", "derive_utterance_seed", "fnv1a_64", "next_u64", "substream", "uniform"),
     "spfx": ("read_spfx", "read_stats_container", "write_spfx", "write_stats_container"),
     "stats": (
-        "CorpusStats", "MaskFractionReport", "accumulate_stats", "exact_masked_mean", "exact_masked_mean_closed",
-        "exact_masked_mean_multi", "monte_carlo_masked_mean", "standardize", "verify_grid",
+        "CorpusStats", "MaskFractionReport", "accumulate_stats", "exact_masked_mean", "exact_masked_mean_multi",
+        "monte_carlo_masked_mean", "standardize", "verify_grid",
     ),
     "toy": (
         "DemoParams", "LearningCurve", "SyntheticDataset", "ToyModel", "default_params", "forward_nll",

@@ -138,6 +138,7 @@ def _cmd_demo(args) -> int:
     epochs = toy.DEFAULT_DEMO_EPOCHS if args.epochs is None else args.epochs
     lr = toy.DEFAULT_DEMO_LR if args.lr is None else args.lr
     seed = toy.DEFAULT_DEMO_SEED if args.seed is None else args.seed
+    toy.check_training_values(epochs, lr)  # before the dataset, which takes a while to build
     dataset = toy.generate_dataset(toy.default_params(), seed)
     curve = toy.train(dataset, policy, epochs, lr, seed)
     Path(args.out).write_text(curve.to_csv(), encoding="utf-8")

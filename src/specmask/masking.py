@@ -5,7 +5,7 @@ Masks zero out whole frame intervals [t, t+tau) or channel intervals
 uniform over the whole axis with end-clamping, and start positions within one
 call are pairwise distinct (rejection-resampled).  Both samplers refuse a
 bad (width, count, extent) triple through `check_axis`, the check the exact
-oracles share.  All randomness flows through explicit RngState values, so
+oracle shares.  All randomness flows through explicit RngState values, so
 augmentation is reproducible and safe to parallelize across utterances.
 """
 
@@ -98,8 +98,8 @@ def check_axis(max_width: int, count: int, extent: int) -> tuple[int, int, int]:
     """The one precondition of an axis draw, returned as Python ints.
 
     ConfigError for a value that is not an integer (numpy integers pass), a
-    negative width or count, a width whose draw bound exceeds 2**64, or an
-    empty axis.
+    negative width or count, an empty axis, or a width or extent whose draw
+    bound (max_width + 1 outcomes, extent starts) exceeds 2**64.
     """
     try:
         max_width, count, extent = operator.index(max_width), operator.index(count), operator.index(extent)
@@ -113,6 +113,8 @@ def check_axis(max_width: int, count: int, extent: int) -> tuple[int, int, int]:
         raise ConfigError(f"count must be >= 0, got {count}")
     if extent < 1:
         raise ConfigError(f"extent must be >= 1, got {extent}")
+    if extent > MASK64 + 1:
+        raise ConfigError(f"extent must be <= 2**64, got {extent}")
     return max_width, count, extent
 
 

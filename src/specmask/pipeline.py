@@ -72,8 +72,9 @@ def map_records(records: Sequence[ManifestRecord], task: Callable, num_workers: 
 
     A record whose task raises one of RECORD_ERRORS goes to `summary.failures`
     and is skipped; every other record counts in `summary.utterances_processed`.
-    At one worker each task runs in the calling thread when its result is taken;
-    more workers run every record on a thread pool, submitted up front.
+    At one worker, or for fewer than two records, each task runs in the calling
+    thread when its result is taken; otherwise every record runs on a thread
+    pool, submitted up front.
     """
 
     def attempt(record: ManifestRecord) -> tuple[bool, typing.Any]:
@@ -83,7 +84,7 @@ def map_records(records: Sequence[ManifestRecord], task: Callable, num_workers: 
             return False, str(exc)
 
     pool = None
-    if num_workers > 1:
+    if min(num_workers, len(records)) > 1:
         from concurrent.futures import ThreadPoolExecutor  # it loads `logging`: import both only for a pooled run
 
         pool = ThreadPoolExecutor(max_workers=num_workers)

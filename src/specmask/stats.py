@@ -1,9 +1,9 @@
 """Corpus standardization statistics and sampler-verification oracles.
 
-The exact oracles work from the sampler's distribution directly and never
-call the sampler: a closed form in O(extent * count) integer steps, whose
-count-1 case is the single-mask mean, and a brute-force enumeration that
-serves as the closed form's test oracle.  They refuse a bad (width, count,
+The exact oracle works from the sampler's distribution directly and never
+calls the sampler: a closed form in O(extent * count) integer steps, whose
+count-1 case is the single-mask mean.  The tests check it against a
+brute-force enumeration of their own.  It refuses a bad (width, count,
 extent) triple through `masking.check_axis`, the samplers' own check.  The
 Monte Carlo harness drives the real sampler.  The closed form and Monte
 Carlo are compared within 3 standard errors, which is what `verify` reports.
@@ -11,7 +11,6 @@ Carlo are compared within 3 standard errors, which is what `verify` reports.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -24,9 +23,6 @@ from .masking import check_axis, sample_axis_masks_batch
 from .rng import RngState, derive_utterance_seed, substream_batch
 
 VARIANCE_FLOOR = 1e-8
-
-#: Feasibility bound for the brute-force multi-mask oracle.
-MAX_ENUMERATION = 10**7
 
 #: Fewest trials the Monte Carlo harness accepts.
 MIN_TRIALS = 100
@@ -126,44 +122,11 @@ def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | N
 def exact_masked_mean(max_width: int, extent: int) -> float:
     """Exact E[masked positions] for one mask: uniform width {0..max_width},
     uniform start {0..extent-1}, length clamped to min(width, extent - start).
-    The count-1 case of `exact_masked_mean_closed`."""
-    return exact_masked_mean_closed(max_width, 1, extent)
+    The count-1 case of `exact_masked_mean_multi`."""
+    return exact_masked_mean_multi(max_width, 1, extent)
 
 
 def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
-    """Exact E[positions covered by the union of `count` masks], by brute force.
-
-    Start rejection-resampling makes every ordered tuple of distinct starts
-    equally likely, so the enumeration walks all width tuples crossed with all
-    ordered distinct start tuples at equal weight.  Counts above the extent
-    are capped exactly as the sampler caps them.
-    """
-    max_width, count, extent = check_axis(max_width, count, extent)
-    effective = min(count, extent)
-    if effective == 0:
-        return 0.0
-    num_width_tuples = (max_width + 1) ** effective
-    num_start_tuples = math.perm(extent, effective)
-    size = num_width_tuples * num_start_tuples
-    if size > MAX_ENUMERATION:
-        raise ConfigError(
-            f"enumeration size {size} exceeds the {MAX_ENUMERATION} bound "
-            f"((max_width+1)^count * extent!/(extent-count)! with max_width={max_width}, "
-            f"count={effective}, extent={extent})"
-        )
-    total = 0
-    widths = list(itertools.product(range(max_width + 1), repeat=effective))
-    for starts in itertools.permutations(range(extent), effective):
-        for width_tuple in widths:
-            covered = 0
-            for s, w in zip(starts, width_tuple):
-                length = min(w, extent - s)
-                covered |= ((1 << length) - 1) << s
-            total += covered.bit_count()
-    return total / size
-
-
-def exact_masked_mean_closed(max_width: int, count: int, extent: int) -> float:
     """Exact E[positions covered by the union of `count` masks], in closed form.
 
     The starts are a uniform k-subset of the positions (k = min(count,
@@ -176,7 +139,7 @@ def exact_masked_mean_closed(max_width: int, count: int, extent: int) -> float:
     so e_k = sum_j e_j(1..q) * C(extent-q, k-j) * (max_width+1)^(k-j), with
     e_j(1..q) extended by one factor each time q grows: O(extent*k) steps.
     Integer arithmetic throughout, so the result is the correctly rounded
-    float of the same rational `exact_masked_mean_multi` enumerates.
+    float of the exact rational mean.
     """
     max_width, count, extent = check_axis(max_width, count, extent)
     k = min(count, extent)
@@ -301,7 +264,7 @@ def verify_grid(
     for extent in extents:
         for max_width in max_widths:
             for count in counts:
-                exact = exact_masked_mean_closed(max_width, count, extent)
+                exact = exact_masked_mean_multi(max_width, count, extent)
                 for attempt in range(2):
                     state = derive_utterance_seed(seed, f"verify:{extent}:{max_width}:{count}:{attempt}")
                     report = monte_carlo_masked_mean(max_width, count, extent, trials, RngState(state))

@@ -185,6 +185,14 @@ def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
         return float(-np.log(probs[np.arange(labels.shape[0]), labels]).mean())
 
 
+def check_training_values(epochs: int, lr: float) -> None:
+    """ConfigError unless epochs >= 1 and lr is finite and >= 0."""
+    if epochs < 1:
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"lr must be finite and >= 0, got {lr}")
+
+
 def train(
     dataset: SyntheticDataset,
     policy: AugmentPolicy,
@@ -198,10 +206,7 @@ def train(
     each epoch from an RNG state derived from (seed, "id:epoch"); train NLL
     is measured on that masked batch.  Dev NLL always uses the clean dev split.
     """
-    if epochs < 1:
-        raise ConfigError(f"epochs must be >= 1, got {epochs}")
-    if not (math.isfinite(lr) and lr >= 0):
-        raise ConfigError(f"lr must be finite and >= 0, got {lr}")
+    check_training_values(epochs, lr)
     model = init_model(dataset.params.num_classes, dataset.params.num_channels)
     clean_pooled = np.stack([_pool(ex.features) for ex in dataset.train])
     train_labels = np.array([ex.label for ex in dataset.train])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import struct
 import subprocess
@@ -12,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specmask.errors import ConfigError
 from specmask.features import DspConfig, extract, read_wav
-from specmask.masking import AugmentPolicy, augment
+from specmask.masking import AugmentPolicy, augment, check_axis
 from specmask.render import render_masks_pgm
 from specmask.rng import RngState, derive_utterance_seed
 
@@ -26,6 +29,9 @@ FIGURE_POLICIES = (
     ("freq", AugmentPolicy(8, 2, 0, 0)),
     ("both", AugmentPolicy(8, 2, 10, 2)),
 )
+
+#: Most (width tuple, start tuple) pairs `brute_force_masked_mean` walks.
+MAX_ENUMERATION = 10**7
 
 
 def write_wav(path: Path, samples: np.ndarray, sample_rate: int) -> None:
@@ -77,6 +83,40 @@ def build_corpus(root: Path, count: int, seconds: float = 0.2) -> Path:
     manifest = root / "manifest.tsv"
     manifest.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return manifest
+
+
+def brute_force_masked_mean(max_width: int, count: int, extent: int) -> float:
+    """Exact E[positions covered by the union of `count` masks], by enumeration.
+
+    The reference for `stats.exact_masked_mean_multi`, by another route: start
+    rejection-resampling makes every ordered tuple of distinct starts equally
+    likely, so this walks all width tuples crossed with all ordered distinct
+    start tuples at equal weight and counts each union's positions.  Counts
+    above the extent are capped exactly as the sampler caps them.  A bad axis
+    is refused by `masking.check_axis`, and a walk above MAX_ENUMERATION
+    tuples with ConfigError.
+    """
+    max_width, count, extent = check_axis(max_width, count, extent)
+    effective = min(count, extent)
+    if effective == 0:
+        return 0.0
+    size = (max_width + 1) ** effective * math.perm(extent, effective)
+    if size > MAX_ENUMERATION:
+        raise ConfigError(
+            f"enumeration size {size} exceeds the {MAX_ENUMERATION} bound "
+            f"((max_width+1)^count * extent!/(extent-count)! with max_width={max_width}, "
+            f"count={effective}, extent={extent})"
+        )
+    total = 0
+    widths = list(itertools.product(range(max_width + 1), repeat=effective))
+    for starts in itertools.permutations(range(extent), effective):
+        for width_tuple in widths:
+            covered = 0
+            for s, w in zip(starts, width_tuple):
+                length = min(w, extent - s)
+                covered |= ((1 << length) - 1) << s
+            total += covered.bit_count()
+    return total / size
 
 
 def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from specmask.features import DspConfig, FeatureMatrix, dct_matrix, extract, frame_and_window, power_spectrum, read_wav
+from specmask.features import DspConfig, FeatureMatrix, dct_matrix, frame_and_window, power_spectrum, read_wav
 from specmask.manifest import Manifest, ManifestRecord, slice_manifest
 from specmask.masking import POLICY_PRESETS, AugmentPolicy, augment
 from specmask.pipeline import RunConfig, run_pipeline

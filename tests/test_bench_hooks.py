@@ -12,9 +12,12 @@ from __future__ import annotations
 import importlib
 import inspect
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
+
+from specmask.stats import verify_grid
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -47,3 +50,32 @@ def test_benchmark_bound_parameters_keep_their_names(name, parameters):
     module_name, attr = name.split(".")
     signature = inspect.signature(getattr(importlib.import_module(f"specmask.{module_name}"), attr))
     assert set(parameters) <= set(signature.parameters), f"specmask.{name}{signature}"
+
+
+#: The hooks a verify-grid run goes through, so their spans are never empty there.
+VERIFY_HOOKS = (
+    "stats.exact_masked_mean_multi",
+    "stats.monte_carlo_masked_mean",
+    "masking.sample_axis_masks_batch",
+    "rng.substream_batch",
+    "rng.uniform_batch",
+)
+
+
+def test_verify_grid_reaches_every_verify_hook(monkeypatch):
+    calls = dict.fromkeys(VERIFY_HOOKS, 0)
+    for name in VERIFY_HOOKS:
+        module_name, attr = name.split(".")
+        original = getattr(importlib.import_module(f"specmask.{module_name}"), attr)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        # as the benchmark does: in every package module that imported the function by name
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "specmask" and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    verify_grid((3,), (2,), (1, 2), 200, seed=1)
+    assert calls["stats.exact_masked_mean_multi"] == 2
+    assert all(calls.values()), calls

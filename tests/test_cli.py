@@ -278,8 +278,15 @@ def test_verify_too_few_trials_exits_2(capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--lr", "-1"), ("--lr", "nan"), ("--lr", "inf")])
-def test_demo_bad_training_argument_exits_2(tmp_path, capsys, flag, value):
-    # a NaN or infinite rate is a configuration error, not a divergence (exit 1)
+def test_demo_bad_training_argument_exits_2(tmp_path, capsys, monkeypatch, flag, value):
+    # a NaN or infinite rate is a configuration error, not a divergence (exit 1),
+    # and it is refused before the dataset is built
+    from specmask import toy
+
+    def generate_dataset(params, seed):
+        raise AssertionError("the dataset was built before the training values were checked")
+
+    monkeypatch.setattr(toy, "generate_dataset", generate_dataset)
     curve_path = tmp_path / "curve.csv"
     assert main(["demo", flag, value, "--out", str(curve_path)]) == 2
     captured = capsys.readouterr()

@@ -29,7 +29,7 @@ from specmask.features import (
     read_wav,
 )
 
-from conftest import write_wav, write_wav_int16
+from conftest import write_wav_int16
 
 
 def build_wav_bytes(fmt_code=1, channels=1, rate=16000, bits=16, data=b"\x00\x00") -> bytes:

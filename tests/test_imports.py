@@ -1,10 +1,11 @@
 """What importing the package loads, and what it leaves out.
 
-Every name a package module imports is used in that module: no linter ships
-with the project, so this check catches imports left behind when code is
-deleted.  Package-level names load their submodule on first use, so an entry
-point loads only the modules it runs; the subprocess checks below start a
-fresh interpreter, since this one has imported the whole package already.
+Every name a package module, test module or demo imports is used in that
+module: no linter ships with the project, so this check catches imports left
+behind when code is deleted or moved.  Package-level names load their
+submodule on first use, so an entry point loads only the modules it runs; the
+subprocess checks below start a fresh interpreter, since this one has
+imported the whole package already.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import pytest
 
 from conftest import run_python
 
-PACKAGE_DIR = Path(__file__).resolve().parent.parent / "src" / "specmask"
-MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "specmask"
+MODULES = [*sorted(PACKAGE_DIR.glob("*.py")), *sorted(ROOT.glob("tests/*.py")), *sorted(ROOT.glob("demos/*.py"))]
 
 #: submodule -> the names `specmask` exports from it, as the eager package did
 PACKAGE_NAMES = {
@@ -38,8 +40,7 @@ PACKAGE_NAMES = {
     "spfx": ["read_spfx", "read_stats_container", "write_spfx", "write_stats_container"],
     "stats": [
         "CorpusStats", "MaskFractionReport", "accumulate_stats", "exact_masked_mean",
-        "exact_masked_mean_closed", "exact_masked_mean_multi", "monte_carlo_masked_mean",
-        "standardize", "verify_grid",
+        "exact_masked_mean_multi", "monte_carlo_masked_mean", "standardize", "verify_grid",
     ],
     "toy": [
         "DemoParams", "LearningCurve", "SyntheticDataset", "ToyModel", "default_params",
@@ -85,6 +86,18 @@ def test_pipeline_and_stats_load_no_demo_render_cli_fractions_or_pool():
     assert loaded_after("import specmask.pipeline, specmask.stats", unwanted) == []
 
 
+def test_mapping_fewer_than_two_records_starts_no_pool():
+    statement = """
+from specmask.manifest import ManifestRecord
+from specmask.pipeline import RunSummary, map_records
+for records in ([], [ManifestRecord("a", "a.wav")]):
+    summary = RunSummary()
+    assert list(map_records(records, lambda record: record.path, 2, summary)) == [r.path for r in records]
+    assert summary.utterances_processed == len(records)
+"""
+    assert loaded_after(statement, ["concurrent.futures", "logging"]) == []
+
+
 def test_cli_loads_no_demo_render_or_fractions():
     assert loaded_after("import specmask.cli", ["specmask.toy", "specmask.render", "fractions"]) == []
 
@@ -100,7 +113,7 @@ for module_name, names in {PACKAGE_NAMES!r}.items():
         exec(f"from specmask import {{name}}", namespace)
         assert namespace[name] is getattr(sys.modules["specmask." + module_name], name), name
 """
-    assert sum(map(len, PACKAGE_NAMES.values())) == 61
+    assert sum(map(len, PACKAGE_NAMES.values())) == 60
     result = run_python(["-c", script])
     assert result.returncode == 0, result.stderr
 

@@ -20,7 +20,7 @@ from specmask.masking import (
     sample_axis_masks_batch,
     sample_policy_masks,
 )
-from specmask.rng import RngState, substream, uniform
+from specmask.rng import RngState, uniform
 
 
 def ones_matrix(t: int, nu: int) -> FeatureMatrix:

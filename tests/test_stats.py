@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import brute_force_masked_mean
 from specmask.errors import ConfigError, EmptyInputError
 from specmask.features import FeatureMatrix
 from specmask.masking import sample_axis_masks, sample_axis_masks_batch
@@ -18,7 +19,6 @@ from specmask.stats import (
     CorpusStats,
     accumulate_stats,
     exact_masked_mean,
-    exact_masked_mean_closed,
     exact_masked_mean_multi,
     monte_carlo_masked_mean,
     standardize,
@@ -224,7 +224,7 @@ def test_exact_multi_zero_count():
 def test_exact_multi_consistent_with_single():
     for max_width in range(0, 7):
         for extent in range(1, 13):
-            assert exact_masked_mean_multi(max_width, 1, extent) == pytest.approx(
+            assert brute_force_masked_mean(max_width, 1, extent) == pytest.approx(
                 exact_masked_mean(max_width, extent), abs=1e-12
             )
 
@@ -248,19 +248,14 @@ def test_exact_multi_small_case_by_hand():
     assert value == pytest.approx(total / 8, abs=0)
 
 
-def test_exact_multi_refuses_large_instances():
-    with pytest.raises(ConfigError, match="bound"):
-        exact_masked_mean_multi(6, 8, 12)
-
-
 def test_closed_form_equals_brute_force_on_every_feasible_cell():
     compared = 0
     for extent, max_width, count in itertools.product(range(1, 13), range(0, 7), range(1, 4)):
         try:
-            brute = exact_masked_mean_multi(max_width, count, extent)
+            brute = brute_force_masked_mean(max_width, count, extent)
         except ConfigError:
             continue
-        assert exact_masked_mean_closed(max_width, count, extent) == brute, (extent, max_width, count)
+        assert exact_masked_mean_multi(max_width, count, extent) == brute, (extent, max_width, count)
         compared += 1
     assert compared == 252
 
@@ -280,7 +275,7 @@ def test_closed_form_equals_brute_force_on_every_feasible_cell():
     ],
 )
 def test_closed_form_zero_and_capped_counts(max_width, count, extent):
-    assert exact_masked_mean_closed(max_width, count, extent) == exact_masked_mean_multi(max_width, count, extent)
+    assert exact_masked_mean_multi(max_width, count, extent) == brute_force_masked_mean(max_width, count, extent)
 
 
 @pytest.mark.parametrize(
@@ -289,13 +284,13 @@ def test_closed_form_zero_and_capped_counts(max_width, count, extent):
 )
 def test_closed_form_pinned_paper_scale_values(max_width, count, extent, expected):
     # the floats of the direct sum over every (position, start) pair; the brute force refuses the first two
-    assert repr(exact_masked_mean_closed(max_width, count, extent)) == expected
+    assert repr(exact_masked_mean_multi(max_width, count, extent)) == expected
 
 
 def test_closed_form_covers_cells_the_brute_force_refuses():
-    with pytest.raises(ConfigError):
-        exact_masked_mean_multi(6, 8, 12)
-    value = exact_masked_mean_closed(6, 8, 12)
+    with pytest.raises(ConfigError, match="bound"):
+        brute_force_masked_mean(6, 8, 12)
+    value = exact_masked_mean_multi(6, 8, 12)
     assert math.isfinite(value) and 0.0 < value < 12.0
 
 
@@ -303,7 +298,7 @@ AXIS_ENTRY_POINTS = {
     "sample_axis_masks": lambda w, c, e: sample_axis_masks(w, c, e, "time", RngState(0)),
     "sample_axis_masks_batch": lambda w, c, e: sample_axis_masks_batch(w, c, e, np.arange(4, dtype=np.uint64)),
     "exact_masked_mean_multi": exact_masked_mean_multi,
-    "exact_masked_mean_closed": exact_masked_mean_closed,
+    "brute_force_masked_mean": brute_force_masked_mean,
     "monte_carlo_masked_mean": lambda w, c, e: monte_carlo_masked_mean(w, c, e, 200, RngState(0)),
 }
 
@@ -332,6 +327,15 @@ def test_samplers_and_oracles_refuse_a_width_above_the_draw_bound(entry):
     assert str(excinfo.value) == "max_width must be <= 2**64 - 1, got 18446744073709551616"
 
 
+@pytest.mark.parametrize("entry", [name for name in AXIS_ENTRY_POINTS if name != "monte_carlo_masked_mean"])
+def test_samplers_and_oracles_refuse_an_extent_above_the_draw_bound(entry):
+    # a start draw is uniform on {0..extent-1}, a bound the rng caps at 2**64;
+    # Monte Carlo refuses every extent above 2**31 first
+    with pytest.raises(ConfigError) as excinfo:
+        AXIS_ENTRY_POINTS[entry](2, 1, 2**64 + 1)
+    assert str(excinfo.value) == "extent must be <= 2**64, got 18446744073709551617"
+
+
 @pytest.mark.parametrize("entry", AXIS_ENTRY_POINTS)
 @pytest.mark.parametrize("triple", [(2.5, 1, 5), (2, 1.0, 5), (2, 1, 5.0)], ids=["width", "count", "extent"])
 def test_samplers_and_oracles_refuse_a_non_integer_axis_value(entry, triple):
@@ -358,7 +362,7 @@ def test_top_width_as_numpy_uint64_draws_as_python_int():
 
 
 def test_closed_form_rejects_empty_axis():
-    for oracle in (exact_masked_mean_closed, exact_masked_mean_multi):
+    for oracle in (exact_masked_mean_multi, brute_force_masked_mean):
         with pytest.raises(ConfigError, match="extent must be >= 1"):
             oracle(3, 1, 0)
     with pytest.raises(ConfigError, match="extent must be >= 1"):
@@ -482,7 +486,7 @@ def test_monte_carlo_at_the_largest_extent():
 
 def test_monte_carlo_at_the_largest_width_bound():
     # width bound 2**64: uint64 width draws, which clamp at the axis end
-    exact = exact_masked_mean_closed(2**64 - 1, 2, 10)
+    exact = exact_masked_mean_multi(2**64 - 1, 2, 10)
     report = monte_carlo_masked_mean(2**64 - 1, 2, 10, 20_000, RngState(4))
     assert abs(report.mc_mean - exact) <= 4 * report.mc_stderr
 
@@ -510,7 +514,7 @@ def test_verify_grid_smoke():
     assert all(row.passed for row in rows)
     # exact values are embedded per cell
     for row in rows:
-        assert row.exact == exact_masked_mean_multi(row.max_width, row.count, row.extent)
+        assert row.exact == brute_force_masked_mean(row.max_width, row.count, row.extent)
 
 
 def test_verify_grid_marks_a_cell_that_failed_twice_as_rerun(monkeypatch):

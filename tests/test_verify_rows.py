@@ -2,12 +2,14 @@
 
 The values were produced by the dense-tensor counter and the pending-mask
 `uniform_batch`; the interval counter and the one-pass draw must reproduce
-them bit for bit.
+them bit for bit.  The expected exact column comes from the brute-force
+enumeration in conftest, not from the closed form that `verify_grid` runs.
 """
 
 from __future__ import annotations
 
-from specmask.stats import GridRow, exact_masked_mean_multi, verify_grid
+from conftest import brute_force_masked_mean
+from specmask.stats import GridRow, verify_grid
 
 TRIALS = 2000
 
@@ -95,7 +97,7 @@ def test_verify_grid_rows_are_pinned():
             extent=extent,
             max_width=max_width,
             count=count,
-            exact=exact_masked_mean_multi(max_width, count, extent),
+            exact=brute_force_masked_mean(max_width, count, extent),
             mc_mean=mc_mean,
             mc_stderr=mc_stderr,
             trials=TRIALS,
