@@ -294,10 +294,21 @@ def test_closed_form_covers_cells_the_brute_force_refuses():
     assert math.isfinite(value) and 0.0 < value < 12.0
 
 
+def test_exact_multi_refuses_large_instances():
+    # no enumeration bound: the closed form refuses only an axis beyond the rng's 2**64 draw bound,
+    # before its walk over the positions starts
+    with pytest.raises(ConfigError, match=r"extent must be <= 2\*\*64, got"):
+        exact_masked_mean_multi(6, 8, 2**64 + 1)
+    with pytest.raises(ConfigError, match=r"max_width must be <= 2\*\*64 - 1, got"):
+        exact_masked_mean_multi(2**64, 8, 12)
+
+
 AXIS_ENTRY_POINTS = {
     "sample_axis_masks": lambda w, c, e: sample_axis_masks(w, c, e, "time", RngState(0)),
     "sample_axis_masks_batch": lambda w, c, e: sample_axis_masks_batch(w, c, e, np.arange(4, dtype=np.uint64)),
     "exact_masked_mean_multi": exact_masked_mean_multi,
+    # the closed form as `verify_grid` reaches it for a one-cell grid's exact column
+    "exact_masked_mean_closed": lambda w, c, e: verify_grid([e], [w], [c], trials=200, seed=0)[0].exact,
     "brute_force_masked_mean": brute_force_masked_mean,
     "monte_carlo_masked_mean": lambda w, c, e: monte_carlo_masked_mean(w, c, e, 200, RngState(0)),
 }
