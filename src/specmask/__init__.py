@@ -29,7 +29,7 @@ _EXPORTS = {
     ),
     "pipeline": ("RunConfig", "RunSummary", "run_pipeline"),
     "render": ("render_masks_pgm",),
-    "rng": ("RngState", "derive_utterance_seed", "fnv1a_64", "next_u64", "substream", "uniform"),
+    "rng": ("RngState", "derive_utterance_seed", "fnv1a_64", "next_u64", "uniform"),
     "spfx": ("read_spfx", "read_stats_container", "write_spfx", "write_stats_container"),
     "stats": (
         "CorpusStats", "MaskFractionReport", "accumulate_stats", "exact_masked_mean", "exact_masked_mean_multi",

@@ -98,8 +98,9 @@ def check_axis(max_width: int, count: int, extent: int) -> tuple[int, int, int]:
     """The one precondition of an axis draw, returned as Python ints.
 
     ConfigError for a value that is not an integer (numpy integers pass), a
-    negative width or count, an empty axis, or a width or extent whose draw
-    bound (max_width + 1 outcomes, extent starts) exceeds 2**64.
+    negative width or count, an empty axis, a width whose draw bound
+    (max_width + 1 outcomes) exceeds 2**64, or an extent above 2**63 - 1, so
+    that every start and end fits int64.
     """
     try:
         max_width, count, extent = operator.index(max_width), operator.index(count), operator.index(extent)
@@ -113,8 +114,8 @@ def check_axis(max_width: int, count: int, extent: int) -> tuple[int, int, int]:
         raise ConfigError(f"count must be >= 0, got {count}")
     if extent < 1:
         raise ConfigError(f"extent must be >= 1, got {extent}")
-    if extent > MASK64 + 1:
-        raise ConfigError(f"extent must be <= 2**64, got {extent}")
+    if extent >= 1 << 63:
+        raise ConfigError(f"extent must be <= 2**63 - 1, got {extent}")
     return max_width, count, extent
 
 
@@ -173,10 +174,10 @@ def sample_axis_masks_batch(
                 start[pending] = redraw
                 pending = pending[_repeats(redraw, starts[:i, pending])]
         starts[i] = start
+        if width.dtype == np.uint64:  # max_width >= 2**63; clamped to the extent, the widths fit int64 exactly
+            width = np.minimum(width, np.uint64(extent)).view(np.int64)
         np.subtract(extent, start, out=lengths[i])
-        # unsafe: a uint64 width (max_width >= 2**63) takes the float loop,
-        # which is exact here because the result is at most extent
-        np.minimum(lengths[i], width, out=lengths[i], casting="unsafe")
+        np.minimum(lengths[i], width, out=lengths[i])
     return starts.T, lengths.T, states
 
 

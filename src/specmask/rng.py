@@ -88,17 +88,6 @@ def derive_utterance_seed(global_seed: int, utterance_id: str) -> int:
     return out
 
 
-def substream(seed: int, index: int) -> RngState:
-    """Derive the state of decorrelated child stream `index` of `seed`.
-
-    The index is scrambled before being folded into the seed so that
-    consecutive indices do not yield overlapping SplitMix64 sequences.
-    """
-    z, _ = next_u64(RngState(index & MASK64))
-    out, _ = next_u64(RngState((seed ^ z) & MASK64))
-    return RngState(out)
-
-
 def next_u64_batch(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized `next_u64` over a uint64 state array.
 
@@ -159,7 +148,7 @@ def uniform_batch(states: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scramble(first: int, last: int) -> np.ndarray:
-    """The index half of `substream` for indices first..last-1, read-only."""
+    """The scrambled indices first..last-1 (one SplitMix64 output of each), read-only."""
     z, _ = next_u64_batch(np.arange(first, last, dtype=np.uint64))
     z.setflags(write=False)
     return z
@@ -181,10 +170,13 @@ def _scrambled_indices(first: int, last: int) -> np.ndarray:
 
 
 def substream_batch(seed: int, first: int, last: int) -> np.ndarray:
-    """Vectorized `substream`: the states of child streams first..last-1 of `seed`.
+    """The states of decorrelated child streams first..last-1 of `seed`.
 
-    The scrambled indices do not depend on the seed and are cached, so each
-    call costs one xor and one mix.
+    Child i's state is the SplitMix64 output of state seed ^ z, where z is
+    the output of state i: the index is scrambled before it is folded into the
+    seed, so consecutive indices do not yield overlapping sequences.  The
+    scrambled indices do not depend on the seed and are cached, so each call
+    costs one xor and one mix.
     """
     s = _scrambled_indices(first, last) ^ np.uint64(seed & MASK64)
     s += _U_GOLDEN

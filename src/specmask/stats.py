@@ -1,12 +1,13 @@
 """Corpus standardization statistics and sampler-verification oracles.
 
 The exact oracle works from the sampler's distribution directly and never
-calls the sampler: a closed form in O(extent * count) integer steps, whose
-count-1 case is the single-mask mean.  The tests check it against a
-brute-force enumeration of their own.  It refuses a bad (width, count,
-extent) triple through `masking.check_axis`, the samplers' own check.  The
-Monte Carlo harness drives the real sampler.  The closed form and Monte
-Carlo are compared within 3 standard errors, which is what `verify` reports.
+calls the sampler: a closed form in O(min(extent, max_width) * count)
+integer steps, whose count-1 case is the single-mask mean.  The tests check
+it against a brute-force enumeration of their own.  It refuses a bad (width,
+count, extent) triple through `masking.check_axis`, the samplers' own check,
+and Monte Carlo accepts the same triples.  The Monte Carlo harness drives the
+real sampler.  The closed form and Monte Carlo are compared within 3 standard
+errors, which is what `verify` reports.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     min(p-s+1, max_width+1) otherwise.  Those miss counts are 1..q once each
     (q = min(p+1, max_width)) and max_width+1 for the other extent-q starts,
     so e_k = sum_j e_j(1..q) * C(extent-q, k-j) * (max_width+1)^(k-j), with
-    e_j(1..q) extended by one factor each time q grows: O(extent*k) steps.
-    Integer arithmetic throughout, so the result is the correctly rounded
-    float of the exact rational mean.
+    e_j(1..q) extended by one factor each time q grows.  From position
+    max_width - 1 on, q and so e_k stay the same, so the walk stops there
+    and counts the rest of the axis in one product: O(min(extent, max_width)*k)
+    steps.  Integer arithmetic throughout, so the result is the correctly
+    rounded float of the exact rational mean.
     """
     max_width, count, extent = check_axis(max_width, count, extent)
     k = min(count, extent)
@@ -148,61 +151,49 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     widths = max_width + 1
     small = [1] + [0] * k  # e_0..e_k of the miss counts 1..q
     uncovered = 0  # sum over positions of e_k(a_0p..a_{extent-1,p})
-    for p in range(extent):
+    stop = min(extent, max(max_width, 1))
+    for p in range(stop):
         q = min(p + 1, max_width)
         if q == p + 1:  # the miss count q joins the small ones
             for j in range(k, 0, -1):
                 small[j] += q * small[j - 1]
-        uncovered += sum(small[j] * math.comb(extent - q, k - j) * widths ** (k - j) for j in range(k + 1))
+        term = sum(small[j] * math.comb(extent - q, k - j) * widths ** (k - j) for j in range(k + 1))
+        uncovered += term
+    uncovered += (extent - stop) * term
     denominator = widths**k * math.comb(extent, k)
     return (extent * denominator - uncovered) / denominator
-
-
-def _as_uint64(values: np.ndarray) -> np.ndarray:
-    return np.asarray(values, dtype=np.int64).view(np.uint64)
 
 
 def union_coverage(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Positions covered by the union of each row's intervals [start, start + length).
 
-    Interval arithmetic: sorts each row's intervals by start, carrying their
-    ends along, counts the first one whole, and then adds the part of every
-    later interval that reaches past the running max of the ends before it.
-    Starts and lengths must be nonnegative int64, which is not checked; an end
-    past 2**31 raises ValueError.  Returns one int64 count per row.
+    A position p is covered by (starts <= p) - (ends <= p) intervals, a count
+    that does not depend on which end belongs to which start.  So the starts
+    and the ends are sorted separately, and the i-th smallest start and end
+    bound an interval whose starts and ends both ascend: each adds
+    end[i] - max(start[i], end[i-1]).  Starts and lengths must be nonnegative
+    int64 arrays whose sums fit int64, which is not checked; neither is
+    written.  Returns one int64 count per row.
     """
-    # one uint64 key per interval, start in the high half and end in the low
-    # one, so a compare-exchange moves the end with its start.  uint64 sums of
-    # nonnegative int64s cannot wrap, so the ends' maxima check every position.
-    # Work column by column over all rows at once
-    keys, top = [], 0
-    for start, length in zip(_as_uint64(starts).T, _as_uint64(lengths).T):
-        key = start + length  # the end
-        top = max(top, int(key.max(initial=0)))
-        key |= start << 32
-        keys.append(key)
-    if top > 1 << 31:
-        raise ValueError(f"union_coverage positions must be at most 2**31, got an end of {top}")
-    if not keys:
+    # work column by column over all rows at once, on this call's own arrays
+    begins = [start.copy() for start in starts.T]
+    ends = [start + length for start, length in zip(starts.T, lengths.T)]
+    if not ends:
         return np.zeros(starts.shape[0], dtype=np.int64)
-    for i in range(1, len(keys)):  # insertion-sort network over the columns
-        for j in range(i, 0, -1):
-            keys[j - 1], keys[j] = np.minimum(keys[j - 1], keys[j]), np.maximum(keys[j - 1], keys[j])
-    # the keys are this call's own arrays, so they are unpacked in place
-    covered = keys[0] >> 32
-    reach = keys[0]
-    reach &= 0xFFFFFFFF
-    np.subtract(reach, covered, out=covered)
-    for key in keys[1:]:
-        # the interval adds max(end, reach) - max(start, reach), which is 0 when
-        # it ends inside the reach; the first max is also the new reach
-        start = key >> 32
-        np.maximum(start, reach, out=start)
-        key &= 0xFFFFFFFF
-        np.maximum(key, reach, out=reach)
-        covered += reach
-        covered -= start
-    return covered.view(np.int64)
+    spare = np.empty_like(ends[0])
+    for keys in (begins, ends):
+        for i in range(1, len(keys)):  # insertion-sort network over the columns, in place
+            for j in range(i, 0, -1):
+                low, high = keys[j - 1], keys[j]
+                np.minimum(low, high, out=spare)
+                np.maximum(low, high, out=high)
+                keys[j - 1], spare = spare, low
+    covered = ends[0] - begins[0]
+    for begin, reach, end in zip(begins[1:], ends, ends[1:]):
+        np.maximum(begin, reach, out=begin)
+        covered += end
+        covered -= begin
+    return covered
 
 
 def monte_carlo_masked_mean(
@@ -213,13 +204,10 @@ def monte_carlo_masked_mean(
     Each trial gets its own substream derived from (rng.state, trial index),
     so results do not depend on how trials are batched; they are drawn and
     counted in blocks of MC_BLOCK_TRIALS to bound memory.  Standard error is
-    the sample standard deviation over trials divided by sqrt(trials).  The
-    extent may be at most 2**31, the bound of union_coverage.
+    the sample standard deviation over trials divided by sqrt(trials).
     """
     if trials < MIN_TRIALS:
         raise ConfigError(f"trials must be >= {MIN_TRIALS}, got {trials}")
-    if extent > 1 << 31:
-        raise ConfigError(f"extent must be <= 2**31 for the coverage count, got {extent}")
     counts = np.empty(trials)
     for first in range(0, trials, MC_BLOCK_TRIALS):
         last = min(first + MC_BLOCK_TRIALS, trials)

@@ -18,7 +18,7 @@ from specmask.errors import ConfigError
 from specmask.features import DspConfig, extract, read_wav
 from specmask.masking import AugmentPolicy, augment, check_axis
 from specmask.render import render_masks_pgm
-from specmask.rng import RngState, derive_utterance_seed
+from specmask.rng import MASK64, RngState, derive_utterance_seed, next_u64
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 SRC_DIR = Path(__file__).parent.parent / "src"
@@ -117,6 +117,17 @@ def brute_force_masked_mean(max_width: int, count: int, extent: int) -> float:
                 covered |= ((1 << length) - 1) << s
             total += covered.bit_count()
     return total / size
+
+
+def substream(seed: int, index: int) -> RngState:
+    """Scalar reference for `rng.substream_batch`: the state of child stream `index` of `seed`.
+
+    One SplitMix64 output of the index, folded into the seed, then one output
+    of the result, in Python ints.
+    """
+    z, _ = next_u64(RngState(index & MASK64))
+    out, _ = next_u64(RngState((seed ^ z) & MASK64))
+    return RngState(out)
 
 
 def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProcess:

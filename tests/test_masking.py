@@ -129,6 +129,7 @@ def test_batch_sampler_matches_scalar():
         (1, 2, 4), (3, 2, 8), (7, 3, 16),  # power-of-two width bounds and extents
         (4, 3, 2), (6, 3, 3),  # long redraw loops: k = 3 on extents 2 and 3
         (2**64 - 1, 2, 6),  # the largest width bound, uint64 widths
+        (3, 2, 2**63 - 1), (2**64 - 1, 2, 2**63 - 1),  # the largest extent, with small and uint64 widths
     ]
     for max_width, count, extent in shapes:
         seeds = rng.integers(0, 2**64, size=200, dtype=np.uint64)

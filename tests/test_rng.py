@@ -14,14 +14,13 @@ from specmask.rng import (
     fnv1a_64,
     next_u64,
     next_u64_batch,
-    substream,
     substream_batch,
     uniform,
     uniform_batch,
 )
 from specmask.stats import MC_BLOCK_TRIALS
 
-from conftest import run_python
+from conftest import run_python, substream
 
 
 def reference_splitmix(state: int) -> tuple[int, int]:

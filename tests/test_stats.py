@@ -287,6 +287,16 @@ def test_closed_form_pinned_paper_scale_values(max_width, count, extent, expecte
     assert repr(exact_masked_mean_multi(max_width, count, extent)) == expected
 
 
+@pytest.mark.parametrize("max_width", [0, 1, 3, 100])
+def test_single_mask_mean_at_the_largest_extent(max_width):
+    # the walk stops at position max_width - 1 and adds the rest of the axis as one product.
+    # Reference: for extent >= w, a width w fits whole at extent - w + 1 starts and clamps to
+    # 1..w-1 at the last w - 1
+    extent = 2**63 - 1
+    total = sum((extent - w + 1) * w + w * (w - 1) // 2 for w in range(max_width + 1))
+    assert exact_masked_mean(max_width, extent) == total / ((max_width + 1) * extent)
+
+
 def test_closed_form_covers_cells_the_brute_force_refuses():
     with pytest.raises(ConfigError, match="bound"):
         brute_force_masked_mean(6, 8, 12)
@@ -295,10 +305,10 @@ def test_closed_form_covers_cells_the_brute_force_refuses():
 
 
 def test_exact_multi_refuses_large_instances():
-    # no enumeration bound: the closed form refuses only an axis beyond the rng's 2**64 draw bound,
-    # before its walk over the positions starts
-    with pytest.raises(ConfigError, match=r"extent must be <= 2\*\*64, got"):
-        exact_masked_mean_multi(6, 8, 2**64 + 1)
+    # no enumeration bound: the closed form refuses only an extent past int64 or a width past
+    # the rng's 2**64 draw bound, before its walk over the positions starts
+    with pytest.raises(ConfigError, match=r"extent must be <= 2\*\*63 - 1, got"):
+        exact_masked_mean_multi(6, 8, 2**63)
     with pytest.raises(ConfigError, match=r"max_width must be <= 2\*\*64 - 1, got"):
         exact_masked_mean_multi(2**64, 8, 12)
 
@@ -338,13 +348,13 @@ def test_samplers_and_oracles_refuse_a_width_above_the_draw_bound(entry):
     assert str(excinfo.value) == "max_width must be <= 2**64 - 1, got 18446744073709551616"
 
 
-@pytest.mark.parametrize("entry", [name for name in AXIS_ENTRY_POINTS if name != "monte_carlo_masked_mean"])
+@pytest.mark.parametrize("entry", AXIS_ENTRY_POINTS)
 def test_samplers_and_oracles_refuse_an_extent_above_the_draw_bound(entry):
-    # a start draw is uniform on {0..extent-1}, a bound the rng caps at 2**64;
-    # Monte Carlo refuses every extent above 2**31 first
+    # every start and end must fit int64, the batch sampler's and the coverage count's type,
+    # which bounds the extent below the rng's 2**64 start draw bound
     with pytest.raises(ConfigError) as excinfo:
-        AXIS_ENTRY_POINTS[entry](2, 1, 2**64 + 1)
-    assert str(excinfo.value) == "extent must be <= 2**64, got 18446744073709551617"
+        AXIS_ENTRY_POINTS[entry](2, 1, 2**63)
+    assert str(excinfo.value) == "extent must be <= 2**63 - 1, got 9223372036854775808"
 
 
 @pytest.mark.parametrize("entry", AXIS_ENTRY_POINTS)
@@ -421,7 +431,9 @@ def test_union_coverage_matches_dense_reference(k):
         starts = rng.integers(0, extent, size=(500, k))
         widths = rng.integers(0, max_width + 1, size=(500, k))
         lengths = np.minimum(widths, extent - starts)
+        before = starts.copy(), lengths.copy()
         counts = union_coverage(starts, lengths)
+        assert np.array_equal(starts, before[0]) and np.array_equal(lengths, before[1])  # inputs not written
         assert counts.dtype == np.int64
         assert np.array_equal(counts, dense_coverage(starts, lengths))
 
@@ -467,31 +479,30 @@ def test_monte_carlo_agrees_with_exact_multi():
 @pytest.mark.parametrize(
     "starts, lengths, expected",
     [
-        ((2**31 + 5, 0), (3, 1), None),  # a start past the bound
-        ((2**31 - 1, 0), (2, 1), None),  # an end past the bound
-        ((2**31 + 1, 0), (0, 0), None),  # a zero-length interval past the bound
-        ((2**31 - 3, 0), (3, 1), [4]),  # an end at the bound
-        ((2**31, 0), (0, 1), [1]),  # a zero-length interval at the bound
+        ((2**31 + 5, 0), (3, 1), [4]),  # a start past 2**31
+        ((2**31 - 1, 0), (2, 1), [3]),  # an end past 2**31
+        ((2**31 + 1, 0), (0, 0), [0]),  # a zero-length interval past 2**31
+        ((2**31 - 3, 0), (3, 1), [4]),  # an end at 2**31
+        ((2**31, 0), (0, 1), [1]),  # a zero-length interval at 2**31
         ((), (), []),  # no rows
+        ((2**63 - 4, 2**63 - 6), (3, 4), [5]),  # ends at the largest int64
     ],
 )
 def test_union_coverage_checks_its_2_31_bound(starts, lengths, expected):
+    # 2**31 is no bound: every position whose end fits int64 counts alike
     starts, lengths = (np.array(v, dtype=np.int64).reshape(-1, 2) for v in (starts, lengths))
-    if expected is None:
-        with pytest.raises(ValueError, match=r"2\*\*31"):
-            union_coverage(starts, lengths)
-    else:
-        assert union_coverage(starts, lengths).tolist() == expected
+    assert union_coverage(starts, lengths).tolist() == expected
 
 
-def test_monte_carlo_rejects_extents_the_coverage_count_cannot_pack():
-    with pytest.raises(ValueError, match=r"2\*\*31"):
-        monte_carlo_masked_mean(3, 2, 2**31 + 1, 2000, RngState(1))
+def test_monte_carlo_past_2_31():
+    # two masks of width 0..3 almost never overlap or clamp on 2**31 + 1 positions: mean 3
+    report = monte_carlo_masked_mean(3, 2, 2**31 + 1, 2000, RngState(1))
+    assert abs(report.mc_mean - 3.0) <= 4 * report.mc_stderr
 
 
 def test_monte_carlo_at_the_largest_extent():
-    # one mask of width 0..3 almost never clamps on 2**31 positions: mean 1.5
-    report = monte_carlo_masked_mean(3, 1, 2**31, 2000, RngState(1))
+    # one mask of width 0..3 almost never clamps on 2**63 - 1 positions: mean 1.5
+    report = monte_carlo_masked_mean(3, 1, 2**63 - 1, 2000, RngState(1))
     assert abs(report.mc_mean - 1.5) <= 4 * report.mc_stderr
 
 
@@ -526,6 +537,12 @@ def test_verify_grid_smoke():
     # exact values are embedded per cell
     for row in rows:
         assert row.exact == brute_force_masked_mean(row.max_width, row.count, row.extent)
+
+
+def test_verify_grid_at_the_largest_extents():
+    rows = verify_grid((2**40, 2**63 - 1), (3, 100), (1, 2), 4000, seed=1)
+    assert len(rows) == 8
+    assert all(row.passed for row in rows)
 
 
 def test_verify_grid_marks_a_cell_that_failed_twice_as_rerun(monkeypatch):
