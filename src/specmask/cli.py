@@ -20,7 +20,7 @@ from .errors import ConfigError, DivergenceError, EmptyInputError, SpecmaskError
 from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import POLICY_PRESETS, AugmentPolicy, masks_from_text, resolve_policy
-from .pipeline import RUN_MODES, RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
+from .pipeline import RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
 from .spfx import read_spfx, write_stats_container
 from .stats import accumulate_stats, verify_grid
 
@@ -40,8 +40,12 @@ def _policy_from_args(args, default: AugmentPolicy) -> AugmentPolicy:
 
 
 def _run(args, **fields) -> RunSummary:
-    """Run the pipeline over `--manifest` into `--out` with the `--config` front end."""
-    return run_pipeline(RunConfig(manifest_path=args.manifest, output_dir=args.out, dsp=_dsp_from_args(args), **fields))
+    """Run the pipeline over `--manifest` into `--out` with the `--config` front end, `--stats` and `--workers`."""
+    config = RunConfig(
+        manifest_path=args.manifest, output_dir=args.out, dsp=_dsp_from_args(args), stats_path=args.stats,
+        num_workers=args.workers, **fields,
+    )
+    return run_pipeline(config)
 
 
 def _report_summary(summary: RunSummary, done: str | None = None) -> int:
@@ -57,7 +61,7 @@ def _report_summary(summary: RunSummary, done: str | None = None) -> int:
 
 
 def _cmd_extract(args) -> int:
-    return _report_summary(_run(args, mode="eval", num_workers=args.workers))  # plain extraction never augments
+    return _report_summary(_run(args, mode="eval"))  # eval features are never masked
 
 
 def _cmd_stats(args) -> int:
@@ -75,16 +79,8 @@ def _cmd_stats(args) -> int:
     return _report_summary(summary, f"accumulated {stats.count} frames over {stats.num_channels} channels")
 
 
-def _cmd_standardize(args) -> int:
-    summary = _run(args, mode="eval", stats_path=args.stats)  # standardize only, never augment
-    total = summary.utterances_processed + len(summary.failures)
-    return _report_summary(summary, f"standardized {summary.utterances_processed} of {total} utterances")
-
-
 def _cmd_augment(args) -> int:
-    policy = _policy_from_args(args, POLICY_PRESETS["none"])
-    summary = _run(args, policy=policy, seed=args.seed, mode=args.mode, stats_path=args.stats, num_workers=args.workers)
-    return _report_summary(summary)
+    return _report_summary(_run(args, policy=_policy_from_args(args, POLICY_PRESETS["none"]), seed=args.seed))
 
 
 def _cmd_slice(args) -> int:
@@ -157,28 +153,21 @@ def build_parser() -> argparse.ArgumentParser:
     corpus = argparse.ArgumentParser(add_help=False)
     corpus.add_argument("--config", help="DSP config file (key = value lines, for WAV inputs)")
     corpus.add_argument("--manifest", required=True)
-    workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=1)
+    run = argparse.ArgumentParser(add_help=False, parents=[corpus])
+    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--stats", help="standardize with this stats container, from the stats subcommand")
+    run.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("extract", parents=[corpus, workers], help="extract features for every manifest record")
-    p.add_argument("--out", required=True, help="output directory")
+    p = sub.add_parser("extract", parents=[run], help="write eval features, never masked, for every manifest record")
     p.set_defaults(func=_cmd_extract)
 
     p = sub.add_parser("stats", parents=[corpus], help="accumulate per-channel mean/variance over a corpus")
     p.add_argument("--out", required=True, help="output stats container path")
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("standardize", parents=[corpus], help="standardize features with precomputed stats")
-    p.add_argument("--stats", required=True, help="stats container from the stats subcommand")
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=_cmd_standardize)
-
-    p = sub.add_parser("augment", parents=[corpus, workers], help="run the masking pipeline over a manifest")
+    p = sub.add_parser("augment", parents=[run], help="write train features, masked by a policy, for every manifest record")
     p.add_argument("--policy", help="policy preset name or literal F,mF,R,mR (default: none)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=RUN_MODES, default="train")
-    p.add_argument("--stats", help="standardize with this stats container before masking")
-    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("slice", help="write nested random manifest subsets")

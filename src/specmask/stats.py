@@ -1,11 +1,12 @@
 """Corpus standardization statistics and sampler-verification oracles.
 
 The exact oracle works from the sampler's distribution directly and never
-calls the sampler: a closed form in O(min(extent, max_width) * count)
+calls the sampler: a closed form in O(min(extent, max_width) * count**2)
 integer steps, whose count-1 case is the single-mask mean.  The tests check
 it against a brute-force enumeration of their own.  It refuses a bad (width,
 count, extent) triple through `masking.check_axis`, the samplers' own check,
-and Monte Carlo accepts the same triples.  The Monte Carlo harness drives the
+and Monte Carlo accepts the same triples; it also refuses a triple whose walk
+would take more than 10**7 steps.  The Monte Carlo harness drives the
 real sampler.  The closed form and Monte Carlo are compared within 3 standard
 errors, which is what `verify` reports.
 """
@@ -31,6 +32,10 @@ MIN_TRIALS = 100
 #: Trials drawn and counted together by the Monte Carlo harness.  Results do
 #: not depend on it: every trial draws from its own substream.
 MC_BLOCK_TRIALS = 1 << 14
+
+#: Most steps, min(extent, max(max_width, 1)) * (min(count, extent) + 1)**2,
+#: the exact oracle walks; at the bound a call took 0.5-5 s on a 2-core Xeon.
+_MAX_EXACT_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -140,18 +145,27 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     so e_k = sum_j e_j(1..q) * C(extent-q, k-j) * (max_width+1)^(k-j), with
     e_j(1..q) extended by one factor each time q grows.  From position
     max_width - 1 on, q and so e_k stay the same, so the walk stops there
-    and counts the rest of the axis in one product: O(min(extent, max_width)*k)
-    steps.  Integer arithmetic throughout, so the result is the correctly
-    rounded float of the exact rational mean.
+    and counts the rest of the axis in one product: min(extent, max(max_width, 1))
+    positions of (k + 1)**2 big-int steps each.  A triple of more than
+    10**7 steps raises ConfigError before the walk starts.  Integer
+    arithmetic throughout, so the result is the correctly rounded float of
+    the exact rational mean.
     """
     max_width, count, extent = check_axis(max_width, count, extent)
     k = min(count, extent)
     if k == 0:
         return 0.0
+    stop = min(extent, max(max_width, 1))
+    steps = stop * (k + 1) ** 2
+    if steps > _MAX_EXACT_STEPS:
+        raise ConfigError(
+            f"exact oracle walk of {steps} steps exceeds the {_MAX_EXACT_STEPS} bound "
+            f"(min(extent, max(max_width, 1)) * (min(count, extent) + 1)**2 with max_width={max_width}, "
+            f"count={count}, extent={extent})"
+        )
     widths = max_width + 1
     small = [1] + [0] * k  # e_0..e_k of the miss counts 1..q
     uncovered = 0  # sum over positions of e_k(a_0p..a_{extent-1,p})
-    stop = min(extent, max(max_width, 1))
     for p in range(stop):
         q = min(p + 1, max_width)
         if q == p + 1:  # the miss count q joins the small ones

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -146,8 +147,38 @@ def run_python(args: list[str], timeout: float = 60) -> subprocess.CompletedProc
     )
 
 
+def build_spfx_corpus(root: Path) -> Path:
+    """Six 16-channel MFCC SPFX inputs of 40 to 135 frames plus manifest; returns the manifest path."""
+    rng = np.random.default_rng(4242)
+    lines = []
+    for i in range(6):
+        data = rng.normal(loc=rng.uniform(-5.0, 5.0, 16), scale=rng.uniform(0.5, 3.0, 16), size=(40 + 19 * i, 16))
+        write_spfx_raw(root / f"in{i}.spfx", data, kind_code=1)
+        lines.append(f"u{i}\tin{i}.spfx\n")
+    manifest = root / "manifest.tsv"
+    manifest.write_text("".join(lines), encoding="utf-8")
+    return manifest
+
+
+def golden_stats(path: Path, channels: int) -> None:
+    """Write a stats container with a nonzero mean, non-unit variances and one variance below the floor."""
+    rng = np.random.default_rng(8080)
+    mean = rng.uniform(-4.0, 4.0, channels)
+    variance = rng.uniform(0.2, 9.0, channels)
+    variance[3] = 1e-9  # below VARIANCE_FLOOR
+    write_spfx_raw(path, np.stack([mean, variance]), kind_code=255, frame_shift_ms=0.0)
+
+
 def tree_bytes(out_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def tree_digest(out_dir: Path) -> str:
+    """SHA-256 over every file of a tree: name, length and bytes, in name order."""
+    digest = hashlib.sha256()
+    for name, blob in tree_bytes(out_dir).items():
+        digest.update(f"{name}\0{len(blob)}\0".encode() + blob)
+    return digest.hexdigest()
 
 
 def figure_panels(out_dir: Path) -> dict[str, bytes]:

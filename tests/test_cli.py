@@ -15,11 +15,14 @@ import pytest
 from specmask import cli, errors
 from specmask.cli import build_parser, main
 from specmask.features import DspConfig, FeatureMatrix, extract, read_wav
-from specmask.masking import masks_from_text
+from specmask.masking import POLICY_PRESETS, masks_from_text
+from specmask.pipeline import RunConfig, run_pipeline
 from specmask.spfx import HEADER, read_spfx, read_stats_container, write_spfx, write_stats_container
 from specmask.stats import CorpusStats, accumulate_stats
 
-from conftest import build_corpus, run_python, tree_bytes, write_spfx_raw, write_wav
+from conftest import (
+    build_corpus, build_spfx_corpus, golden_stats, run_python, tree_bytes, tree_digest, write_spfx_raw, write_wav,
+)
 
 
 def test_extract_writes_features_and_empty_sidecars(tmp_path, capsys):
@@ -46,14 +49,13 @@ def test_extract_config_file_changes_output(tmp_path):
 
 
 def test_extract_equals_augment_eval_tree(tmp_path):
+    # `extract` is the CLI's eval mode: a pipeline run in eval mode ignores its policy and seed
     manifest = build_corpus(tmp_path, 4)
     extract_out = tmp_path / "extract"
     augment_out = tmp_path / "augment"
     assert main(["extract", "--manifest", str(manifest), "--out", str(extract_out)]) == 0
-    assert main([
-        "augment", "--policy", "libri-best", "--seed", "11", "--mode", "eval",
-        "--manifest", str(manifest), "--out", str(augment_out),
-    ]) == 0
+    config = RunConfig(str(manifest), str(augment_out), policy=POLICY_PRESETS["libri-best"], seed=11, mode="eval")
+    assert run_pipeline(config).failures == []
     assert tree_bytes(extract_out) == tree_bytes(augment_out)
 
 
@@ -104,7 +106,7 @@ def test_stats_then_standardize_centers_the_corpus(tmp_path, capsys):
 
     out = tmp_path / "std"
     assert main([
-        "standardize", "--stats", str(stats_path),
+        "extract", "--stats", str(stats_path),
         "--manifest", str(manifest), "--out", str(out),
     ]) == 0
     standardized = [read_spfx(out / f"utt{i:03d}.spfx") for i in range(4)]
@@ -112,7 +114,7 @@ def test_stats_then_standardize_centers_the_corpus(tmp_path, capsys):
     merged = accumulate_stats(standardized)
     assert np.all(np.abs(merged.mean) < 1e-5)
     assert np.all(np.abs(merged.variance - 1.0) < 1e-4)
-    assert "standardized 4 of 4" in capsys.readouterr().out
+    assert "processed 4 utterances, 0 masks drawn" in capsys.readouterr().out
 
 
 def test_standardize_tree_equals_augment_eval_with_stats(tmp_path):
@@ -121,12 +123,35 @@ def test_standardize_tree_equals_augment_eval_with_stats(tmp_path):
     assert main(["stats", "--manifest", str(manifest), "--out", str(stats_path)]) == 0
     std_out = tmp_path / "std"
     eval_out = tmp_path / "eval"
-    assert main(["standardize", "--stats", str(stats_path), "--manifest", str(manifest), "--out", str(std_out)]) == 0
-    assert main([
-        "augment", "--policy", "ld-like", "--seed", "4", "--mode", "eval", "--stats", str(stats_path),
-        "--manifest", str(manifest), "--out", str(eval_out),
-    ]) == 0
+    assert main(["extract", "--stats", str(stats_path), "--manifest", str(manifest), "--out", str(std_out)]) == 0
+    config = RunConfig(
+        str(manifest), str(eval_out), policy=POLICY_PRESETS["ld-like"], seed=4, mode="eval", stats_path=str(stats_path)
+    )
+    assert run_pipeline(config).failures == []
     assert tree_bytes(std_out) == tree_bytes(eval_out)
+
+
+# Digests recorded from the commands that `extract` replaced: `augment --mode eval --policy ld-like
+# --seed 7` at 1 and 8 workers for the plain trees, `standardize` (one worker) for the `--stats` trees.
+EVAL_TREES = {
+    ("wav", False): "9c00480e05b037648bee1f8c199a53e0d75203007ecc23ee6730697016e35235",
+    ("wav", True): "4b2013a1fb6376a3ae2b34f284badf27bf8fec7bcc56c159938089acdc02f973",
+    ("spfx", False): "82af74dfa8444ca3349e089993f35c7f63dcbc9b6af2bc4d6d39eecb9e25eab0",
+    ("spfx", True): "ab4e07eecefad7bc04f6df62f1c212e9a7a8a9f3617cba933ef951065428035a",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+@pytest.mark.parametrize("corpus", ["wav", "spfx"])
+def test_extract_trees_are_pinned(tmp_path, corpus, workers):
+    manifest = build_corpus(tmp_path, 4) if corpus == "wav" else build_spfx_corpus(tmp_path)
+    stats_path = tmp_path / "c.spfx-stats"
+    golden_stats(stats_path, 40 if corpus == "wav" else 16)
+    for with_stats in (False, True):
+        out = tmp_path / f"out-{with_stats}"
+        argv = ["extract", "--workers", str(workers), "--manifest", str(manifest), "--out", str(out)]
+        assert main(argv + (["--stats", str(stats_path)] if with_stats else [])) == 0
+        assert tree_digest(out) == EVAL_TREES[corpus, with_stats]
 
 
 def test_augment_with_stats_standardizes_before_masking(tmp_path):
@@ -372,7 +397,7 @@ def test_missing_manifest_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["standardize", "augment"])
+@pytest.mark.parametrize("command", ["extract", "augment"])
 def test_missing_stats_exits_2_before_creating_the_output(tmp_path, capsys, command):
     manifest = build_corpus(tmp_path, 1)
     out = tmp_path / "o"
@@ -385,7 +410,7 @@ def test_missing_stats_exits_2_before_creating_the_output(tmp_path, capsys, comm
 @pytest.mark.parametrize(
     "row, value", [(0, math.nan), (1, -1.0), (1, math.inf)], ids=["nan-mean", "negative-variance", "inf-variance"]
 )
-@pytest.mark.parametrize("command", ["standardize", "augment"])
+@pytest.mark.parametrize("command", ["extract", "augment"])
 def test_malformed_stats_container_exits_2_before_creating_the_output(tmp_path, capsys, command, row, value):
     manifest = build_corpus(tmp_path, 1)
     stats_path = tmp_path / "corpus.spfx-stats"
@@ -692,20 +717,12 @@ CORPUS = {"--config": ("config", False, None, None, None), "--manifest": ("manif
 OUT = {"--out": ("out", True, None, None, None)}
 WORKERS = {"--workers": ("workers", False, 1, "int", None)}
 POLICY = {"--policy": ("policy", False, None, None, None)}
+STATS = {"--stats": ("stats", False, None, None, None)}
 #: subcommand -> ({option strings: (dest, required, default, type name, choices)}, mutually exclusive groups)
 PINNED_ARGUMENTS = {
-    "extract": ({**CORPUS, **OUT, **WORKERS}, []),
+    "extract": ({**CORPUS, **OUT, **WORKERS, **STATS}, []),
     "stats": ({**CORPUS, **OUT}, []),
-    "standardize": ({**CORPUS, **OUT, "--stats": ("stats", True, None, None, None)}, []),
-    "augment": (
-        {
-            **CORPUS, **OUT, **WORKERS, **POLICY,
-            "--seed": ("seed", False, 0, "int", None),
-            "--mode": ("mode", False, "train", None, ("train", "eval")),
-            "--stats": ("stats", False, None, None, None),
-        },
-        [],
-    ),
+    "augment": ({**CORPUS, **OUT, **WORKERS, **STATS, **POLICY, "--seed": ("seed", False, 0, "int", None)}, []),
     "slice": (
         {
             **OUT,

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import tracemalloc
 import warnings
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from specmask.pipeline import RunConfig, RunSummary, map_records, parse_dsp_conf
 from specmask.spfx import read_spfx, write_stats_container
 from specmask.stats import CorpusStats
 
-from conftest import build_corpus, tree_bytes, write_spfx_raw, write_wav
+from conftest import build_corpus, build_spfx_corpus, golden_stats, tree_bytes, tree_digest, write_spfx_raw, write_wav
 
 
 def test_train_run_writes_features_and_sidecars(tmp_path):
@@ -411,37 +409,14 @@ def test_an_error_outside_the_failure_policy_escapes_the_driver(num_workers):
 # changes a digest.  The digests were recorded from the copying path that
 # came before in-place standardize and masking.
 
-
-def _tree_digest(out_dir: Path) -> str:
-    digest = hashlib.sha256()
-    for name, blob in tree_bytes(out_dir).items():
-        digest.update(f"{name}\0{len(blob)}\0".encode() + blob)
-    return digest.hexdigest()
-
-
-def _golden_stats(path: Path, channels: int) -> None:
-    rng = np.random.default_rng(8080)
-    mean = rng.uniform(-4.0, 4.0, channels)
-    variance = rng.uniform(0.2, 9.0, channels)
-    variance[3] = 1e-9  # below VARIANCE_FLOOR
-    write_spfx_raw(path, np.stack([mean, variance]), kind_code=255, frame_shift_ms=0.0)
-
-
 GOLDEN_SPFX_TREE = "1369b3a80e875f76e4108a115ff97f7d7ddba021fa9a2277da9b23d1713ea8d9"
 GOLDEN_WAV_TREE = "98b4a5ba4f5fd91e89b84a5b8e064b8e065ee284dcc1f5915c7ce93ac0fe669e"
 
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_standardized_spfx_tree_is_pinned(tmp_path, workers):
-    rng = np.random.default_rng(4242)
-    lines = []
-    for i in range(6):
-        data = rng.normal(loc=rng.uniform(-5.0, 5.0, 16), scale=rng.uniform(0.5, 3.0, 16), size=(40 + 19 * i, 16))
-        write_spfx_raw(tmp_path / f"in{i}.spfx", data, kind_code=1)
-        lines.append(f"u{i}\tin{i}.spfx\n")
-    manifest = tmp_path / "manifest.tsv"
-    manifest.write_text("".join(lines), encoding="utf-8")
-    _golden_stats(tmp_path / "c.spfx-stats", 16)
+    manifest = build_spfx_corpus(tmp_path)
+    golden_stats(tmp_path / "c.spfx-stats", 16)
     out = tmp_path / "out"
     summary = run_pipeline(
         RunConfig(
@@ -454,16 +429,16 @@ def test_standardized_spfx_tree_is_pinned(tmp_path, workers):
         )
     )
     assert summary.failures == []
-    assert _tree_digest(out) == GOLDEN_SPFX_TREE
+    assert tree_digest(out) == GOLDEN_SPFX_TREE
 
 
 @pytest.mark.parametrize("workers", [1, 8])
 def test_augmented_wav_tree_with_stats_is_pinned(tmp_path, workers):
     manifest = build_corpus(tmp_path, 4)
-    _golden_stats(tmp_path / "c.spfx-stats", 40)
+    golden_stats(tmp_path / "c.spfx-stats", 40)
     out = tmp_path / "out"
     assert main([
         "augment", "--policy", "libri-best", "--seed", "3", "--stats", str(tmp_path / "c.spfx-stats"),
         "--workers", str(workers), "--manifest", str(manifest), "--out", str(out),
     ]) == 0
-    assert _tree_digest(out) == GOLDEN_WAV_TREE
+    assert tree_digest(out) == GOLDEN_WAV_TREE

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_masked_mean
+from conftest import brute_force_masked_mean, run_python
 from specmask.errors import ConfigError, EmptyInputError
 from specmask.features import FeatureMatrix
 from specmask.masking import sample_axis_masks, sample_axis_masks_batch
@@ -280,10 +280,18 @@ def test_closed_form_zero_and_capped_counts(max_width, count, extent):
 
 @pytest.mark.parametrize(
     "max_width, count, extent, expected",
-    [(100, 2, 3000, "98.09025024843264"), (100, 20, 1000, "626.6980047224476"), (27, 2, 80, "22.22637884267631")],
+    [
+        (100, 2, 3000, "98.09025024843264"),
+        (100, 20, 1000, "626.6980047224476"),
+        (27, 2, 80, "22.22637884267631"),
+        (100, 20, 3000, "849.1286629532627"),
+        (10**6, 2, 10**6, "533333.71666665"),
+    ],
 )
 def test_closed_form_pinned_paper_scale_values(max_width, count, extent, expected):
-    # the floats of the direct sum over every (position, start) pair; the brute force refuses the first two
+    # the floats of the direct sum over every (position, start) pair, and for the last two of the
+    # walk before its step bound: the largest paper-scale cell and a 9 * 10**6-step walk, which the
+    # bound admits.  The brute force refuses all but the third.
     assert repr(exact_masked_mean_multi(max_width, count, extent)) == expected
 
 
@@ -305,12 +313,38 @@ def test_closed_form_covers_cells_the_brute_force_refuses():
 
 
 def test_exact_multi_refuses_large_instances():
-    # no enumeration bound: the closed form refuses only an extent past int64 or a width past
-    # the rng's 2**64 draw bound, before its walk over the positions starts
+    # no enumeration bound: check_axis refuses an extent past int64 or a width past the
+    # rng's 2**64 draw bound, before the walk's step bound is reached
     with pytest.raises(ConfigError, match=r"extent must be <= 2\*\*63 - 1, got"):
         exact_masked_mean_multi(6, 8, 2**63)
     with pytest.raises(ConfigError, match=r"max_width must be <= 2\*\*64 - 1, got"):
         exact_masked_mean_multi(2**64, 8, 12)
+
+
+EXACT_WALKS_PAST_THE_BOUND = {
+    # about 2**63 positions
+    "top-width-and-extent": ("exact_masked_mean_multi(2**64 - 1, 1, 2**63 - 1)", 2**65 - 4, (2**64 - 1, 1, 2**63 - 1)),
+    "verify-grid": ("verify_grid([2**63 - 1], [2**64 - 1], [1], 200, 0)", 2**65 - 4, (2**64 - 1, 1, 2**63 - 1)),
+    # two positions of 10**4 big-int sums each
+    "many-masks": ("exact_masked_mean_multi(2, 10**4, 10**4)", 2 * 10001**2, (2, 10**4, 10**4)),
+}
+
+
+@pytest.mark.parametrize("call, steps, triple", EXACT_WALKS_PAST_THE_BOUND.values(), ids=EXACT_WALKS_PAST_THE_BOUND.keys())
+def test_exact_oracle_refuses_a_walk_past_its_step_bound(call, steps, triple):
+    # in a child process, so that a walk that never ends fails the test instead of hanging the suite
+    code = (
+        "from specmask.errors import ConfigError\n"
+        "from specmask.stats import exact_masked_mean_multi, verify_grid\n"
+        f"try:\n    {call}\nexcept ConfigError as exc:\n    print(exc)\n"
+    )
+    result = run_python(["-c", code], timeout=30)
+    max_width, count, extent = triple
+    assert result.stdout == (
+        f"exact oracle walk of {steps} steps exceeds the 10000000 bound (min(extent, max(max_width, 1)) * "
+        f"(min(count, extent) + 1)**2 with max_width={max_width}, count={count}, extent={extent})\n"
+    )
+    assert result.returncode == 0
 
 
 AXIS_ENTRY_POINTS = {
