@@ -147,7 +147,9 @@ def _cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="specmask", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="specmask", description="SpecAugment time and frequency masking of log-mel and MFCC features."
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     corpus = argparse.ArgumentParser(add_help=False)

@@ -1,7 +1,10 @@
 """WAV decoding and log-mel / MFCC feature extraction.
 
-All arithmetic is float64 and fully deterministic: the same input bytes and
-configuration always produce bit-identical feature matrices.
+All arithmetic is float64 and deterministic: the same input bytes and
+configuration produce bit-identical feature matrices on the same machine,
+BLAS build and BLAS thread count.  The matmuls go through BLAS, whose
+rounding can follow its thread count: at `iwslt-like` (n_fft 1024) one
+thread and two give different bytes, each repeatable.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ FEATURE_KINDS = ("log_mel", "mfcc", "standardized_log_mel", "standardized_mfcc")
 #: depend on it; 16 and 32 ran slower, 128 and 512 about as fast
 #: (`BENCH_frontend_blocks.json` has the sweep).
 FRAME_BLOCK = 64
+
+#: Fewest frames in one of `extract`'s mel chunks; see `extract` for the rule
+#: that keeps the chunked matmul's bytes those of one call.
+MEL_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -329,15 +336,22 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fm
     return bank
 
 
-def mel_energies(power: np.ndarray, cfg: DspConfig, sample_rate: int) -> FeatureMatrix:
+def _mel_bank(cfg: DspConfig, n_fft: int, sample_rate: int) -> np.ndarray:
+    return _constant(mel_filterbank, cfg.n_mels, n_fft, sample_rate, cfg.fmin_hz, cfg.effective_fmax(sample_rate))
+
+
+def mel_energies(
+    power: np.ndarray, cfg: DspConfig, sample_rate: int, out: np.ndarray | None = None
+) -> FeatureMatrix:
     """Filter-weighted band energies followed by log(max(x, log_floor)).
 
     The floor and the log run in place on the matmul's own array, so the
-    returned matrix is the only one of its size that this allocates.
+    returned matrix is the only one of its size that this allocates.  With
+    `out`, a float64 (num_frames, n_mels) array, the matmul writes there and
+    the returned matrix holds `out`.
     """
     n_fft = 2 * (power.shape[1] - 1)
-    bank = _constant(mel_filterbank, cfg.n_mels, n_fft, sample_rate, cfg.fmin_hz, cfg.effective_fmax(sample_rate))
-    energies = power @ bank.T
+    energies = np.matmul(power, _mel_bank(cfg, n_fft, sample_rate).T, out=out)
     np.maximum(energies, cfg.log_floor, out=energies)
     np.log(energies, out=energies)
     return FeatureMatrix(data=energies, frame_shift_ms=cfg.frame_shift_ms, kind="log_mel")
@@ -367,25 +381,42 @@ def mfcc_from_logmel(logmel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
 def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
     """Full front end: frame/window -> power spectrum -> log-mel -> optional MFCC.
 
-    Frames are windowed and transformed FRAME_BLOCK at a time through one
-    buffer, so neither the whole frame matrix nor the whole complex spectrum is
-    ever built; mel, log and DCT then run once on the whole power matrix.  The
-    bytes equal `power_spectrum(frame_and_window(...))` followed by the same
-    steps.  Each array is dropped after its last use: the frame buffer and
-    this call's reference to `signal` once the power matrix is full (so a
-    signal nothing else refers to is freed before the mel step), and the
-    power matrix once the log-mel matrix is built.
+    The mel matmul, floor and log run one chunk of frames at a time.  Chunks
+    start at multiples of R = max(MEL_BLOCK, ceil(2**20 / (n_mels * (n_fft/2 + 1))))
+    frames and a remainder shorter than R joins the chunk before it; a
+    one-band bank (n_mels = 1) is one chunk.  Inside a chunk frames are
+    windowed and transformed FRAME_BLOCK at a time through one zero-padded
+    buffer into one power buffer of at most 2R - 1 rows that every chunk
+    reuses, and `mel_energies` writes the chunk's rows of one log-mel matrix;
+    the DCT then runs once on that whole matrix, after the frame buffer, the
+    power buffer and this call's reference to `signal` are dropped.  So the
+    whole frame matrix and the whole complex spectrum are never built, and
+    the power of all frames is held at once only by an utterance shorter
+    than 2R frames or a one-band bank.
+
+    The rule keeps the bytes of one matmul over the whole power matrix:
+    OpenBLAS rounds a product below about 2**20 multiply-adds (its
+    small-matrix kernel) and numpy's one-column product (gemv) differently
+    from the same rows inside one long call, so no chunk is shorter than R
+    and a one-band bank is never split.  The bytes equal
+    `power_spectrum(frame_and_window(...))` followed by the same steps.
     """
     _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
+    bins = n_fft // 2 + 1
+    rows = num_frames if cfg.n_mels == 1 else max(MEL_BLOCK, -(-(1 << 20) // (cfg.n_mels * bins)))
+    bounds = [*range(0, max(num_frames // rows, 1) * rows, rows), num_frames]  # the remainder joins the last chunk
     block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
-    power = np.empty((num_frames, n_fft // 2 + 1))
-    for first in range(0, num_frames, FRAME_BLOCK):
-        last = min(first + FRAME_BLOCK, num_frames)
-        power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first:last])
+    power = np.empty((num_frames - bounds[-2], bins))  # the last chunk is the longest
     sample_rate = signal.sample_rate
-    del block, signal
-    logmel = mel_energies(power, cfg, sample_rate)
-    del power
+    _mel_bank(cfg, n_fft, sample_rate)  # colliding mel edges are refused before the log-mel matrix is allocated
+    logmel = np.empty((num_frames, cfg.n_mels))
+    for lo, hi in zip(bounds, bounds[1:]):
+        for first in range(lo, hi, FRAME_BLOCK):
+            last = min(first + FRAME_BLOCK, hi)
+            power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first - lo : last - lo])
+        mel_energies(power[: hi - lo], cfg, sample_rate, out=logmel[lo:hi])
+    del block, power, signal
+    features = FeatureMatrix(data=logmel, frame_shift_ms=cfg.frame_shift_ms, kind="log_mel")
     if cfg.feature == "mfcc":
-        return mfcc_from_logmel(logmel, cfg.effective_n_coeffs())
-    return logmel
+        return mfcc_from_logmel(features, cfg.effective_n_coeffs())
+    return features

@@ -34,7 +34,10 @@ MIN_TRIALS = 100
 MC_BLOCK_TRIALS = 1 << 14
 
 #: Most steps, min(extent, max(max_width, 1)) * (min(count, extent) + 1)**2,
-#: the exact oracle walks; at the bound a call took 0.5-5 s on a 2-core Xeon.
+#: the exact oracle walks.  It counts steps, not time: a step's big-int
+#: binomials and width powers grow with the extent's bit length, so near the
+#: bound (max_width, count, extent) = (100, 300, 10**4) took 0.45 s and
+#: (10, 999, 2**62) took 5.2 s on a 2-core Xeon.
 _MAX_EXACT_STEPS = 10**7
 
 
@@ -147,7 +150,10 @@ def exact_masked_mean_multi(max_width: int, count: int, extent: int) -> float:
     max_width - 1 on, q and so e_k stay the same, so the walk stops there
     and counts the rest of the axis in one product: min(extent, max(max_width, 1))
     positions of (k + 1)**2 big-int steps each.  A triple of more than
-    10**7 steps raises ConfigError before the walk starts.  Integer
+    10**7 steps raises ConfigError before the walk starts.  The bound counts
+    steps, not time: a step costs more as the extent's bit length grows, and
+    near the bound (max_width, count, extent) = (100, 300, 10**4) took 0.45 s
+    and (10, 999, 2**62) took 5.2 s on a 2-core Xeon.  Integer
     arithmetic throughout, so the result is the correctly rounded float of
     the exact rational mean.
     """

@@ -712,6 +712,15 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     assert [m.axis for m in namespace["masks"]] == ["time", "time", "frequency"]
 
 
+def test_help_describes_the_tool_not_its_imports(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "SpecAugment time and frequency masking of log-mel and MFCC features." in out
+    assert "import" not in out and "handlers" not in out
+
+
 HELP = ("help", False, argparse.SUPPRESS, None, None)
 CORPUS = {"--config": ("config", False, None, None, None), "--manifest": ("manifest", True, None, None, None)}
 OUT = {"--out": ("out", True, None, None, None)}

@@ -13,6 +13,7 @@ from specmask.errors import ConfigError, EmptyInputError, FormatError, Unsupport
 from specmask.features import (
     DSP_PRESETS,
     FRAME_BLOCK,
+    MEL_BLOCK,
     DspConfig,
     FeatureMatrix,
     PcmSignal,
@@ -354,6 +355,22 @@ def test_zero_spectrum_hits_log_floor():
     assert logmel.kind == "log_mel"
 
 
+def test_mel_energies_writes_into_out():
+    cfg, rate = DSP_PRESETS["iwslt-like"], 16000
+    power = power_spectrum(frame_and_window(noise_signal(rate, rate), cfg))
+    expected = mel_energies(power, cfg, rate).data
+    buf = np.full((power.shape[0], cfg.n_mels), np.nan)
+    logmel = mel_energies(power, cfg, rate, out=buf)
+    assert logmel.data is buf
+    assert buf.tobytes() == expected.tobytes()
+    # a row range of a larger matrix, as extract passes per chunk
+    whole = np.full((power.shape[0] + 5, cfg.n_mels), np.nan)
+    logmel = mel_energies(power, cfg, rate, out=whole[2:-3])
+    assert logmel.data.base is whole
+    assert whole[2:-3].tobytes() == expected.tobytes()
+    assert np.isnan(whole[:2]).all() and np.isnan(whole[-3:]).all()
+
+
 def test_dct_orthonormality():
     for n in (4, 40, 128):
         g = dct_matrix(n)
@@ -489,16 +506,29 @@ _BIT_CASES = {
     "nfft2048-band-mfcc13": (DspConfig(n_fft=2048, fmin_hz=100.0, fmax_hz=7000.0, n_coeffs=13, feature="mfcc"), 16000),
     "8khz": (DspConfig(n_mels=23), 8000),
     "22khz-mfcc": (DspConfig(feature="mfcc", n_coeffs=20), 22050),
+    # few bands make long mel chunks (R = 4,081, 2,040 and 1,020 frames at
+    # 257 bins), and one band is never split
+    "one-band": (DspConfig(n_mels=1), 16000),
+    "two-band": (DspConfig(n_mels=2), 16000),
+    "four-band-mfcc": (DspConfig(n_mels=4, feature="mfcc"), 16000),
 }
+
+
+def mel_chunk_frames(cfg: DspConfig, rate: int) -> int:
+    """R, the frames per mel chunk that extract's docstring states."""
+    return max(MEL_BLOCK, math.ceil(2**20 / (cfg.n_mels * (cfg.fft_size(rate) // 2 + 1))))
 
 
 @pytest.mark.parametrize("case", sorted(_BIT_CASES))
 @pytest.mark.parametrize(
-    "length", ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s", "silent-frames"]
+    "length",
+    ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s", "silent-frames"]
+    + ["mel-1", "mel", "mel+1", "2mel-1", "2mel", "2mel+1", "3mel+7"],
 )
 def test_front_end_is_bit_identical_to_the_plain_route(case, length):
     cfg, rate = _BIT_CASES[case]
     frame_len, step = cfg.frame_length(rate), cfg.frame_step(rate)
+    mel = mel_chunk_frames(cfg, rate)
     num_samples = {
         "one-frame": frame_len,
         "one-frame+1": frame_len + 1,
@@ -510,6 +540,14 @@ def test_front_end_is_bit_identical_to_the_plain_route(case, length):
         "2block+1": frame_len + 2 * FRAME_BLOCK * step,
         "30s": 30 * rate,
         "silent-frames": frame_len + 39 * step,
+        # extract's mel chunks: a remainder shorter than R joins the chunk before it
+        "mel-1": frame_len + (mel - 2) * step,
+        "mel": frame_len + (mel - 1) * step,
+        "mel+1": frame_len + mel * step,
+        "2mel-1": frame_len + (2 * mel - 2) * step,
+        "2mel": frame_len + (2 * mel - 1) * step,
+        "2mel+1": frame_len + 2 * mel * step,
+        "3mel+7": frame_len + (3 * mel + 6) * step,
     }[length]
     samples = noise_signal(num_samples, rate).samples
     if length == "silent-frames":
@@ -574,15 +612,16 @@ def test_extract_peaks_below_one_frame_matrix():
 
 @pytest.mark.parametrize("preset", ["iwslt-like", "librispeech-like"])
 def test_extract_peaks_below_power_plus_two_feature_matrices(preset):
-    # the floor and log run in place on the mel matmul's array and the power
-    # matrix is freed before the DCT, so at the peak the power matrix and at
-    # most one feature matrix are live
+    # the whole power matrix is never built: mel energies run one chunk of
+    # at most 2R - 1 frames at a time into one log-mel matrix, so at the peak
+    # the chunk's power buffer, the frame block and the log-mel matrix are
+    # live (or, at the DCT, the log-mel and the MFCC matrix), well under half
+    # of a 30 s power matrix
     cfg, rate = DSP_PRESETS[preset], 16000
     signal = noise_signal(30 * rate, rate)
     num_frames = (signal.samples.size - cfg.frame_length(rate)) // cfg.frame_step(rate) + 1
     power_bytes = num_frames * (cfg.fft_size(rate) // 2 + 1) * 8
-    feature_bytes = num_frames * cfg.n_mels * 8
-    assert traced_extract_peak(signal, cfg) < power_bytes + 2 * feature_bytes
+    assert traced_extract_peak(signal, cfg) < power_bytes / 2
 
 
 def test_pre_emphasis_is_bit_identical_to_the_plain_formula():
