@@ -1,10 +1,12 @@
 """WAV decoding and log-mel / MFCC feature extraction.
 
-All arithmetic is float64 and deterministic: the same input bytes and
-configuration produce bit-identical feature matrices on the same machine,
-BLAS build and BLAS thread count.  The matmuls go through BLAS, whose
-rounding can follow its thread count: at `iwslt-like` (n_fft 1024) one
-thread and two give different bytes, each repeatable.
+`read_wav` decodes 16-bit PCM to float32, which holds every sample times
+2**-15 exactly.  From pre-emphasis on, all arithmetic is float64 and
+deterministic: the same input bytes and configuration produce bit-identical
+feature matrices on the same machine, BLAS build and BLAS thread count.
+The matmuls go through BLAS, whose rounding can follow its thread count: at
+`iwslt-like` (n_fft 1024) one thread and two give different bytes, each
+repeatable.
 """
 
 from __future__ import annotations
@@ -32,16 +34,26 @@ FRAME_BLOCK = 64
 #: that keeps the chunked matmul's bytes those of one call.
 MEL_BLOCK = 256
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 @dataclass(frozen=True)
 class PcmSignal:
-    """Mono PCM audio: float64 samples nominally in [-1, 1] plus the sample rate in Hz."""
+    """Mono PCM audio: samples nominally in [-1, 1] plus the sample rate in Hz.
+
+    A float32 array, such as `read_wav`'s exact decoding of 16-bit PCM, is
+    kept as it is; any other input is widened to float64.  The front end
+    computes in float64 either way.
+    """
 
     samples: np.ndarray
     sample_rate: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", np.asarray(self.samples, dtype=np.float64))
+        samples = np.asarray(self.samples)
+        if samples.dtype != np.float32:
+            samples = samples.astype(np.float64, copy=False)
+        object.__setattr__(self, "samples", samples)
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples)):
@@ -107,6 +119,10 @@ class DspConfig:
             raise ConfigError(f"pre_emphasis must be in [0, 1), got {self.pre_emphasis}")
         if self.frame_len_ms <= 0 or self.frame_shift_ms <= 0:
             raise ConfigError("frame_len_ms and frame_shift_ms must be positive")
+        if self.frame_shift_ms > _FLOAT32_MAX:  # SPFX headers store the shift as float32
+            raise ConfigError(
+                f"frame_shift_ms must be at most the float32 maximum {_FLOAT32_MAX!r}, got {self.frame_shift_ms}"
+            )
         if self.n_fft is not None and (self.n_fft < 1 or self.n_fft & (self.n_fft - 1)):
             raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
         if self.n_mels < 1:
@@ -155,7 +171,9 @@ DSP_PRESETS = {
 def read_wav(path) -> PcmSignal:
     """Decode a RIFF/WAVE file holding 16-bit mono PCM.
 
-    Samples are scaled by 1/32768, which is 2**-15, so one multiply is exact.
+    Samples are scaled by 2**-15 into float32.  Every product is exact: an
+    int16 has 16 significant bits and float32 holds 24, so the samples equal
+    a float64 decoding at half its size.
     Malformed containers raise FormatError; well-formed files with an
     unsupported encoding raise UnsupportedFormatError naming the offending
     header field.
@@ -203,19 +221,23 @@ def read_wav(path) -> PcmSignal:
     if len(data) % 2:
         raise FormatError(f"{path}: data chunk length {len(data)} is not a multiple of 2")
 
-    samples = np.multiply(np.frombuffer(data, dtype="<i2"), 1.0 / 32768.0, dtype=np.float64)
+    samples = np.multiply(np.frombuffer(data, dtype="<i2"), 2.0**-15, dtype=np.float32)
     return PcmSignal(samples=samples, sample_rate=sample_rate)
 
 
 def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
-    """First-order high-pass y[n] = x[n] - coeff*x[n-1], with y[0] = x[0]."""
-    x = np.asarray(samples, dtype=np.float64)
+    """First-order high-pass y[n] = x[n] - coeff*x[n-1], with y[0] = x[0].
+
+    Returns a new float64 array; float32 input is widened, exactly, as the
+    ufuncs read it.
+    """
+    x = np.asarray(samples)
     if coeff == 0.0:
-        return x.copy()
-    out = np.empty_like(x)
+        return x.astype(np.float64)
+    out = np.empty(x.shape)
     out[0] = x[0]
-    np.multiply(x[:-1], coeff, out=out[1:])
-    np.subtract(x[1:], out[1:], out=out[1:])
+    np.multiply(x[:-1], coeff, out=out[1:], dtype=np.float64)
+    np.subtract(x[1:], out[1:], out=out[1:], dtype=np.float64)
     return out
 
 

@@ -66,10 +66,18 @@ def _unpack(raw: bytes, path) -> tuple[int, int, float, int, np.ndarray]:
 
 
 def write_spfx(features: FeatureMatrix, path) -> None:
-    """Persist a feature matrix; the float64 data is rounded to float32.
+    """Persist a feature matrix; the float64 data and frame shift are rounded to float32.
 
-    A value that overflows float32 raises FormatError and writes nothing.
+    A value that overflows float32, or a frame shift that is not finite and
+    > 0 as float32 and so could not be read back, raises FormatError and
+    writes nothing.
     """
+    with np.errstate(over="ignore"):  # an overflow is reported by the check below
+        shift = np.float32(features.frame_shift_ms)
+    if not 0 < shift < np.inf:
+        raise FormatError(
+            f"{path}: frame_shift_ms {features.frame_shift_ms!r} is not finite and > 0 as float32; nothing written"
+        )
     _write(path, features.frame_shift_ms, FEATURE_KINDS.index(features.kind), features.data)
 
 

@@ -481,6 +481,18 @@ def test_non_finite_config_value_exits_2_before_creating_the_output(tmp_path, ca
     assert not out.exists()
 
 
+def test_frame_shift_past_float32_exits_2_before_creating_the_output(tmp_path, capsys):
+    # SPFX headers store the shift as float32, which 1e39 overflows
+    manifest = build_corpus(tmp_path, 1)
+    config = tmp_path / "front-end.cfg"
+    config.write_text("frame_shift_ms = 1e39\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: frame_shift_ms must be at most the float32 maximum 3.4028234663852886e+38, got 1e+39\n"
+    assert not out.exists()
+
+
 def test_frame_shift_beyond_any_signal_gives_one_frame_per_utterance(tmp_path):
     # 1e17 ms is 1.6e18 samples at 16 kHz, a byte stride past int64; any step
     # of at least the signal length takes the same single frame.  The trees

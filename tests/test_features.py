@@ -30,7 +30,7 @@ from specmask.features import (
     read_wav,
 )
 
-from conftest import write_wav_int16
+from conftest import write_wav, write_wav_int16
 
 
 def build_wav_bytes(fmt_code=1, channels=1, rate=16000, bits=16, data=b"\x00\x00") -> bytes:
@@ -58,6 +58,7 @@ def test_read_wav_max_amplitude(tmp_path):
     path = tmp_path / "max.wav"
     write_wav_int16(path, [32767], 16000)
     signal = read_wav(path)
+    assert signal.samples.dtype == np.float32
     assert signal.samples.tolist() == [32767 / 32768]
 
 
@@ -69,6 +70,8 @@ def test_read_wav_hand_built_fixture(tmp_path):
     path.write_bytes(build_wav_bytes(data=data))
     signal = read_wav(path)
     assert signal.sample_rate == 16000
+    # float32, and each value is the exact int16 * 2**-15
+    assert signal.samples.dtype == np.float32
     assert signal.samples.tolist() == [v / 32768 for v in values]
 
 
@@ -78,6 +81,7 @@ def test_read_wav_agrees_with_stdlib_writer(tmp_path):
     write_wav_int16(path, values, 8000)
     signal = read_wav(path)
     assert signal.sample_rate == 8000
+    assert signal.samples.dtype == np.float32
     assert signal.samples.tolist() == [v / 32768 for v in values]
 
 
@@ -152,10 +156,29 @@ def test_read_wav_odd_data_length(tmp_path):
 def test_pcm_signal_validation():
     with pytest.raises(ValueError):
         PcmSignal(samples=np.array([]), sample_rate=16000)
-    with pytest.raises(ValueError):
-        PcmSignal(samples=np.array([0.0, np.nan]), sample_rate=16000)
+    for dtype in (np.float64, np.float32):
+        with pytest.raises(ValueError, match="finite"):
+            PcmSignal(samples=np.array([0.0, np.nan], dtype=dtype), sample_rate=16000)
     with pytest.raises(ValueError):
         PcmSignal(samples=np.array([0.0]), sample_rate=0)
+
+
+@pytest.mark.parametrize(
+    "samples, dtype",
+    [
+        (np.array([0.5, -0.25], dtype=np.float32), np.float32),
+        (np.array([0.5, -0.25]), np.float64),
+        (np.array([1, -2], dtype=np.int16), np.float64),
+        ([1, -2], np.float64),
+    ],
+    ids=["float32", "float64", "int16", "list"],
+)
+def test_pcm_signal_keeps_float32_and_widens_the_rest(samples, dtype):
+    signal = PcmSignal(samples=samples, sample_rate=16000)
+    assert signal.samples.dtype == dtype
+    assert signal.samples.tolist() == list(samples)
+    if isinstance(samples, np.ndarray) and samples.dtype == dtype:
+        assert signal.samples is samples  # kept, not copied
 
 
 # ------------------------------------------------- pre-emphasis and framing
@@ -528,8 +551,43 @@ def mel_chunk_frames(cfg: DspConfig, rate: int) -> int:
 def test_front_end_is_bit_identical_to_the_plain_route(case, length):
     cfg, rate = _BIT_CASES[case]
     frame_len, step = cfg.frame_length(rate), cfg.frame_step(rate)
+    samples = noise_signal(bit_case_samples(cfg, rate, length), rate).samples
+    if length == "silent-frames":
+        # frames 11..15 pre-emphasize to zeros, so their mel energies are
+        # raised to log_floor in place before the log
+        samples[10 * step : 15 * step + frame_len] = 0.0
+    signal = PcmSignal(samples=samples, sample_rate=rate)
+    frames = frame_and_window(signal, cfg)
+    expected_frames = reference_frames(signal, cfg)
+    assert frames.shape == expected_frames.shape
+    assert frames.tobytes() == expected_frames.tobytes()
+    if length == "silent-frames":
+        assert not np.any(power_spectrum(expected_frames)[11:16])
+    features = extract(signal, cfg)
+    expected = reference_extract(signal, cfg)
+    assert features.data.shape == expected.shape
+    assert features.data.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["iwslt-like", "librispeech-like"])
+@pytest.mark.parametrize("length", ["mel-1", "mel", "mel+1", "2mel-1", "2mel", "3mel+7"])
+def test_read_wav_features_are_those_of_the_widened_samples(tmp_path, preset, length):
+    # read_wav's float32 samples are widened, exactly, block by block in
+    # pre-emphasis, so the bytes are those of the float64 decoding
+    cfg, rate = _BIT_CASES[preset]
+    path = tmp_path / "noise.wav"
+    write_wav(path, noise_signal(bit_case_samples(cfg, rate, length), rate).samples, rate)
+    signal = read_wav(path)
+    widened = PcmSignal(samples=signal.samples.astype(np.float64), sample_rate=rate)
+    assert signal.samples.dtype == np.float32 and widened.samples.dtype == np.float64
+    assert extract(signal, cfg).data.tobytes() == extract(widened, cfg).data.tobytes()
+
+
+def bit_case_samples(cfg: DspConfig, rate: int, length: str) -> int:
+    """Samples in a signal of the named length: frame counts on each side of extract's block and chunk edges."""
+    frame_len, step = cfg.frame_length(rate), cfg.frame_step(rate)
     mel = mel_chunk_frames(cfg, rate)
-    num_samples = {
+    return {
         "one-frame": frame_len,
         "one-frame+1": frame_len + 1,
         "ragged": frame_len + 7 * step + step // 3,  # 8 frames plus a dropped tail
@@ -549,22 +607,6 @@ def test_front_end_is_bit_identical_to_the_plain_route(case, length):
         "2mel+1": frame_len + 2 * mel * step,
         "3mel+7": frame_len + (3 * mel + 6) * step,
     }[length]
-    samples = noise_signal(num_samples, rate).samples
-    if length == "silent-frames":
-        # frames 11..15 pre-emphasize to zeros, so their mel energies are
-        # raised to log_floor in place before the log
-        samples[10 * step : 15 * step + frame_len] = 0.0
-    signal = PcmSignal(samples=samples, sample_rate=rate)
-    frames = frame_and_window(signal, cfg)
-    expected_frames = reference_frames(signal, cfg)
-    assert frames.shape == expected_frames.shape
-    assert frames.tobytes() == expected_frames.tobytes()
-    if length == "silent-frames":
-        assert not np.any(power_spectrum(expected_frames)[11:16])
-    features = extract(signal, cfg)
-    expected = reference_extract(signal, cfg)
-    assert features.data.shape == expected.shape
-    assert features.data.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(_BIT_CASES))
@@ -624,11 +666,33 @@ def test_extract_peaks_below_power_plus_two_feature_matrices(preset):
     assert traced_extract_peak(signal, cfg) < power_bytes / 2
 
 
+@pytest.mark.parametrize("preset", ["iwslt-like", "librispeech-like"])
+def test_a_read_signal_adds_under_six_bytes_a_sample_to_the_peak(tmp_path, preset):
+    # with no signal held by the caller, extract(read_wav(path)) peaks at the
+    # front end's own peak plus the signal: 4 bytes a sample as float32, 8 as
+    # a float64 decoding
+    cfg, rate = DSP_PRESETS[preset], 16000
+    path = tmp_path / "30s.wav"
+    write_wav(path, noise_signal(30 * rate, rate).samples, rate)
+    own = traced_extract_peak(read_wav(path), cfg)
+    tracemalloc.start()
+    try:
+        extract(read_wav(path), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < own + 6 * 30 * rate
+
+
 def test_pre_emphasis_is_bit_identical_to_the_plain_formula():
     x = noise_signal(1001, 16000).samples
-    for coeff in (0.97, 0.5, 0.0):
-        expected = np.concatenate(([x[0]], x[1:] - coeff * x[:-1])) if coeff else x
-        assert pre_emphasize(x, coeff).tobytes() == expected.tobytes()
+    for samples in (x, x.astype(np.float32)):  # float32 input is emphasized as if widened first
+        wide = samples.astype(np.float64)
+        for coeff in (0.97, 0.5, 0.0):
+            expected = np.concatenate(([wide[0]], wide[1:] - coeff * wide[:-1])) if coeff else wide
+            out = pre_emphasize(samples, coeff)
+            assert out.dtype == np.float64 and not np.shares_memory(out, samples)
+            assert out.tobytes() == expected.tobytes()
     assert pre_emphasize(np.array([0.25]), 0.97).tolist() == [0.25]
 
 
@@ -687,6 +751,10 @@ def test_dsp_config_validation():
         DspConfig(feature="plp")
     with pytest.raises(ConfigError):
         DspConfig(log_floor=0.0)
+    # an SPFX header stores the shift as float32
+    with pytest.raises(ConfigError, match="frame_shift_ms must be at most the float32 maximum"):
+        DspConfig(frame_shift_ms=1e39)
+    assert DspConfig(frame_shift_ms=float(np.finfo(np.float32).max)).frame_shift_ms > 3e38
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 import warnings
 
@@ -167,11 +168,24 @@ def test_write_refuses_a_value_that_overflows_float32(tmp_path, warning_policy):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("shift", [1e39, 1e-50])
+def test_write_refuses_a_frame_shift_that_float32_cannot_hold(tmp_path, shift):
+    # FeatureMatrix accepts both, but as float32 they are inf and 0.0, which the
+    # reader refuses, so nothing is written
+    path = tmp_path / "shift.spfx"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=re.escape(f"frame_shift_ms {shift!r} is not finite and > 0 as float32")):
+            write_spfx(FeatureMatrix(data=np.ones((2, 3)), frame_shift_ms=shift, kind="mfcc"), path)
+    assert not path.exists()
+
+
 def test_float32_max_is_written_and_read_back(tmp_path):
     top = float(np.finfo(np.float32).max)
     path = tmp_path / "top.spfx"
-    write_spfx(FeatureMatrix(data=np.array([[top, -top]]), frame_shift_ms=10.0, kind="mfcc"), path)
+    write_spfx(FeatureMatrix(data=np.array([[top, -top]]), frame_shift_ms=top, kind="mfcc"), path)
     assert read_spfx(path).data.tolist() == [[top, -top]]
+    assert read_spfx(path).frame_shift_ms == top
 
 
 @pytest.mark.parametrize("mean", [1e39, np.nan, np.inf])
