@@ -37,6 +37,12 @@ MEL_BLOCK = 256
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
+def _float32_or_float64(values) -> np.ndarray:
+    """`values` as an array: a float32 array as it is, anything else widened to float64."""
+    array = np.asarray(values)
+    return array if array.dtype == np.float32 else array.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class PcmSignal:
     """Mono PCM audio: samples nominally in [-1, 1] plus the sample rate in Hz.
@@ -50,10 +56,7 @@ class PcmSignal:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        samples = np.asarray(self.samples)
-        if samples.dtype != np.float32:
-            samples = samples.astype(np.float64, copy=False)
-        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "samples", _float32_or_float64(self.samples))
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.samples)):
@@ -64,14 +67,20 @@ class PcmSignal:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """T x num_channels feature frames (time-major) with frame-rate metadata."""
+    """T x num_channels feature frames (time-major) with frame-rate metadata.
+
+    A float32 array, such as `read_spfx`'s payload, is kept as it is; any
+    other input is widened to float64.  `extract` builds float64 matrices.
+    The package computes on either in float64; a value is rounded to float32
+    only when it is stored in a float32 array or written to SPFX.
+    """
 
     data: np.ndarray
     frame_shift_ms: float
     kind: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=np.float64))
+        object.__setattr__(self, "data", _float32_or_float64(self.data))
         if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
             raise ValueError(f"data must be a 2-D matrix with T >= 1 and channels >= 1, got shape {self.data.shape}")
         if not np.all(np.isfinite(self.data)):

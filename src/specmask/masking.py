@@ -217,9 +217,10 @@ def apply_masks(features: FeatureMatrix, masks: list[MaskSpec], out: np.ndarray 
     """Zero every masked frame row / channel column.
 
     Without `out` a copy is masked and the input is left untouched.  With
-    `out`, a float64 array of the features' shape, the features are masked
-    there and the returned matrix holds `out` itself; `out=features.data`
-    masks in place, so the caller must own that array.
+    `out`, an array of the features' shape, the features are masked there and
+    the returned matrix holds `out` itself.  `out=features.data` masks in
+    place, so the caller must own that array, and returns `features` itself:
+    zeroing cannot make a value non-finite, so it is not checked again.
     """
     if out is None:
         data = features.data.copy()
@@ -229,7 +230,7 @@ def apply_masks(features: FeatureMatrix, masks: list[MaskSpec], out: np.ndarray 
             np.copyto(data, features.data)
     for mask in masks:
         data[mask_index(mask, data.shape)] = 0.0
-    return replace(features, data=data)
+    return features if data is features.data else replace(features, data=data)
 
 
 def augment(

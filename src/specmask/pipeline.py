@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, SpecmaskError
+from .errors import ConfigError, FormatError, SpecmaskError
 from .features import DspConfig, FeatureMatrix, extract, read_wav
 from .masking import POLICY_PRESETS, AugmentPolicy, augment, masks_to_text
 from .rng import RngState, derive_utterance_seed
@@ -113,11 +113,17 @@ def _process_one(
     config: RunConfig,
     stats: CorpusStats | None,
 ) -> tuple[int, list[str]]:
-    # the record's one float64 array, just allocated by the reader or the
-    # front end: standardized and masked in place, then cast once at write
+    # the record's one array, just allocated by the reader (float32) or the
+    # front end (float64): standardized and masked in place, then written;
+    # each value is rounded to float32 once, by standardize or by the writer
     features = load_features(record, base_dir, config.dsp)
     if stats is not None:
-        features = standardize(features, stats, out=features.data)
+        try:
+            features = standardize(features, stats, out=features.data)
+        except FormatError:
+            # a standardized value overflows float32, but a mask may cover it: the
+            # record is read again and kept in float64 until the writer checks it
+            features = standardize(load_features(record, base_dir, config.dsp), stats)
     policy = config.effective_policy
     notes: list[str] = []
     if policy.num_time_masks > features.num_frames:

@@ -17,9 +17,10 @@ def render_masks_pgm(features: FeatureMatrix, masks: list[MaskSpec], path) -> No
     """Write a P2 image: width T, height num_channels, low channel at the bottom.
 
     Cell values are linearly rescaled to 0..255 over the matrix min/max
-    (a constant matrix renders as all 128); masked cells are forced to black.
+    (a constant matrix renders as all 128), in float64 for float32 features
+    too; masked cells are forced to black.
     """
-    data = features.data
+    data = features.data.astype(np.float64, copy=False)
     num_frames, num_channels = data.shape
     lo = float(data.min())
     hi = float(data.max())

@@ -10,8 +10,8 @@ mean and variance.
 
 from __future__ import annotations
 
+import os
 import struct
-from pathlib import Path
 
 import numpy as np
 
@@ -26,51 +26,57 @@ STATS_KIND = 255
 
 
 def _write(path, frame_shift_ms: float, kind_code: int, rows: np.ndarray) -> None:
-    """Write one container: the header, then the 2-D `rows` rounded to float32, in one write.
+    """Write one container: the header, then the 2-D `rows` as float32.
 
-    The rows are cast straight into the output buffer.  A value that is not
-    finite there, such as a finite float64 that overflows float32, raises
-    FormatError before the file is opened, so no file is written.
+    Float32 rows are written from their own buffer; other rows are cast once.
+    A value that is not finite as float32, such as a finite float64 that
+    overflows it, raises FormatError before the file is opened, so no file
+    is written.
     """
     num_frames, num_channels = rows.shape
-    blob = bytearray(HEADER.size + 4 * rows.size)
-    HEADER.pack_into(blob, 0, MAGIC, VERSION, num_channels, num_frames, frame_shift_ms, kind_code)
-    payload = np.frombuffer(blob, dtype="<f4", offset=HEADER.size).reshape(num_frames, num_channels)
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
-        np.copyto(payload, rows)
+        payload = np.ascontiguousarray(rows, dtype="<f4")
     if not np.isfinite(payload).all():
         row, column = np.argwhere(~np.isfinite(payload))[0]
         raise FormatError(
             f"{path}: value {rows[row, column]!r} at row {row}, column {column} is not finite as float32; nothing written"
         )
-    Path(path).write_bytes(blob)
+    with open(path, "wb") as file:
+        file.write(HEADER.pack(MAGIC, VERSION, num_channels, num_frames, frame_shift_ms, kind_code))
+        file.write(payload)
 
 
-def _unpack(raw: bytes, path) -> tuple[int, int, float, int, np.ndarray]:
-    if len(raw) < HEADER.size:
-        raise FormatError(f"{path}: truncated header, got {len(raw)} bytes but need {HEADER.size}")
-    magic, version, num_channels, num_frames, frame_shift_ms, kind_code = HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    expected = 4 * num_frames * num_channels
-    actual = len(raw) - HEADER.size
-    if actual != expected:
-        raise FormatError(
-            f"{path}: payload at byte offset {HEADER.size} has {actual} bytes, "
-            f"expected 4*{num_frames}*{num_channels} = {expected}"
-        )
-    payload = np.frombuffer(raw, dtype="<f4", offset=HEADER.size).reshape(num_frames, num_channels)
-    return num_channels, num_frames, frame_shift_ms, kind_code, payload
+def _read(path) -> tuple[float, int, np.ndarray]:
+    """(frame shift, kind byte, payload) of one container; the payload is read into one float32 array."""
+    with open(path, "rb") as file:
+        head = file.read(HEADER.size)
+        if len(head) < HEADER.size:
+            raise FormatError(f"{path}: truncated header, got {len(head)} bytes but need {HEADER.size}")
+        magic, version, num_channels, num_frames, frame_shift_ms, kind_code = HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r} at byte offset 0")
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
+        expected = 4 * num_frames * num_channels
+        actual = os.fstat(file.fileno()).st_size - HEADER.size
+        if actual != expected:
+            raise FormatError(
+                f"{path}: payload at byte offset {HEADER.size} has {actual} bytes, "
+                f"expected 4*{num_frames}*{num_channels} = {expected}"
+            )
+        payload = np.empty((num_frames, num_channels), dtype="<f4")
+        if file.readinto(payload) != expected:
+            raise FormatError(f"{path}: payload at byte offset {HEADER.size} ended before {expected} bytes")
+    return frame_shift_ms, kind_code, payload
 
 
 def write_spfx(features: FeatureMatrix, path) -> None:
-    """Persist a feature matrix; the float64 data and frame shift are rounded to float32.
+    """Persist a feature matrix; float64 data and the frame shift are rounded to float32.
 
-    A value that overflows float32, or a frame shift that is not finite and
-    > 0 as float32 and so could not be read back, raises FormatError and
-    writes nothing.
+    A float32 matrix is written from its own buffer, with no copy.  A value
+    that overflows float32, or a frame shift that is not finite and > 0 as
+    float32 and so could not be read back, raises FormatError and writes
+    nothing.
     """
     with np.errstate(over="ignore"):  # an overflow is reported by the check below
         shift = np.float32(features.frame_shift_ms)
@@ -82,17 +88,17 @@ def write_spfx(features: FeatureMatrix, path) -> None:
 
 
 def read_spfx(path) -> FeatureMatrix:
-    """Load a feature matrix; header/payload problems raise FormatError naming the byte offset.
+    """Load a feature matrix that holds the payload as one float32 array, read straight from the file.
 
+    Header/payload problems raise FormatError naming the byte offset.
     Features that FeatureMatrix refuses, such as a NaN or zero frames, raise FormatError naming the path.
     """
-    raw = Path(path).read_bytes()
-    num_channels, num_frames, frame_shift_ms, kind_code, payload = _unpack(raw, path)
+    frame_shift_ms, kind_code, payload = _read(path)
     if kind_code >= len(FEATURE_KINDS):
         raise FormatError(f"{path}: unknown kind byte {kind_code} at byte offset 18")
     try:
         return FeatureMatrix(
-            data=payload.astype(np.float64),
+            data=payload,
             frame_shift_ms=float(frame_shift_ms),
             kind=FEATURE_KINDS[kind_code],
         )
@@ -113,13 +119,12 @@ def read_stats_container(path) -> CorpusStats:
 
     Stats that CorpusStats refuses, such as a NaN, raise FormatError naming the path.
     """
-    raw = Path(path).read_bytes()
-    num_channels, num_frames, _, kind_code, payload = _unpack(raw, path)
+    _, kind_code, payload = _read(path)
     if kind_code != STATS_KIND:
         raise FormatError(f"{path}: kind byte {kind_code} at byte offset 18 is not a stats container ({STATS_KIND})")
-    if num_frames != 2:
-        raise FormatError(f"{path}: stats container must have 2 rows, got {num_frames} (byte offset 10)")
-    mean, variance = payload.astype(np.float64)
+    if len(payload) != 2:
+        raise FormatError(f"{path}: stats container must have 2 rows, got {len(payload)} (byte offset 10)")
+    mean, variance = payload
     try:
         return CorpusStats(mean=mean, variance=variance, count=1)
     except ValueError as exc:

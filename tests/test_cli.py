@@ -154,6 +154,24 @@ def test_extract_trees_are_pinned(tmp_path, corpus, workers):
         assert tree_digest(out) == EVAL_TREES[corpus, with_stats]
 
 
+# Recorded while SPFX records were still widened to float64 on read and cast back to float32 on write.
+SPFX_TRAIN_TREE = "549b7d4d5d423d4d56c8555b83a605524b0a2b50fe4a0979bbfbd8a1f28baee7"
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_spfx_train_trees_are_pinned(tmp_path, workers):
+    # standardized and masked float32 records: the bytes `reaugment-spfx-ld` writes each epoch
+    manifest = build_spfx_corpus(tmp_path)
+    stats_path = tmp_path / "c.spfx-stats"
+    golden_stats(stats_path, 16)
+    out = tmp_path / "out"
+    assert main([
+        "augment", "--policy", "ld-like", "--seed", "7", "--stats", str(stats_path), "--workers", str(workers),
+        "--manifest", str(manifest), "--out", str(out),
+    ]) == 0
+    assert tree_digest(out) == SPFX_TRAIN_TREE
+
+
 def test_augment_with_stats_standardizes_before_masking(tmp_path):
     manifest = build_corpus(tmp_path, 2)
     stats_path = tmp_path / "corpus.spfx-stats"

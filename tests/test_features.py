@@ -181,6 +181,31 @@ def test_pcm_signal_keeps_float32_and_widens_the_rest(samples, dtype):
         assert signal.samples is samples  # kept, not copied
 
 
+@pytest.mark.parametrize(
+    "data, dtype",
+    [
+        (np.array([[0.5, -0.25]], dtype=np.float32), np.float32),
+        (np.array([[0.5, -0.25]]), np.float64),
+        (np.array([[0.5, -0.25]], dtype=np.float16), np.float64),
+        (np.array([[1, -2]], dtype=np.int16), np.float64),
+        ([[1, -2]], np.float64),
+    ],
+    ids=["float32", "float64", "float16", "int16", "list"],
+)
+def test_feature_matrix_keeps_float32_and_widens_the_rest(data, dtype):
+    features = FeatureMatrix(data=data, frame_shift_ms=10.0, kind="mfcc")
+    assert features.data.dtype == dtype
+    assert features.data.tolist() == np.asarray(data).tolist()
+    if isinstance(data, np.ndarray) and data.dtype == dtype:
+        assert features.data is data  # kept, not copied
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_feature_matrix_refuses_a_nan_in_either_dtype(dtype):
+    with pytest.raises(ValueError, match="feature data must be finite"):
+        FeatureMatrix(data=np.array([[0.0, np.nan]], dtype=dtype), frame_shift_ms=10.0, kind="mfcc")
+
+
 # ------------------------------------------------- pre-emphasis and framing
 
 

@@ -14,8 +14,9 @@ from specmask.cli import main
 from specmask.errors import ConfigError, FormatError
 from specmask.features import DspConfig
 from specmask.manifest import ManifestRecord
-from specmask.masking import POLICY_PRESETS, AugmentPolicy, masks_from_text
+from specmask.masking import POLICY_PRESETS, AugmentPolicy, mask_index, masks_from_text, sample_policy_masks
 from specmask.pipeline import RunConfig, RunSummary, map_records, parse_dsp_config, run_pipeline
+from specmask.rng import RngState, derive_utterance_seed
 from specmask.spfx import read_spfx, write_stats_container
 from specmask.stats import CorpusStats
 
@@ -187,9 +188,42 @@ def test_a_value_that_overflows_float32_fails_only_its_record(tmp_path, warning_
     assert sorted(p.name for p in out.iterdir()) == ["fine.masks", "fine.spfx"]
 
 
-def test_reaugmenting_a_record_holds_one_float64_copy_of_it(tmp_path):
-    # 20000 x 80 values: the float64 matrix is 8 bytes a value, the file's payload 4
-    values = 20000 * 80
+def test_an_overflow_that_a_mask_covers_is_written_as_zero(tmp_path):
+    # standardize refuses 9.5e42 in the float32 record, but the pipeline redoes the
+    # record in float64, so it fails exactly when the value is left unmasked
+    big = np.ones((4, 3))
+    big[1, 2] = 3e38
+    write_spfx_raw(tmp_path / "big.spfx", big, kind_code=1)
+    write_spfx_raw(tmp_path / "c.spfx-stats", [[0.0, 0.0, 0.0], [1.0, 1.0, 1e-9]], kind_code=255, frame_shift_ms=0.0)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("big\tbig.spfx\n", encoding="utf-8")
+    outcomes = set()
+    for seed in range(12):
+        out = tmp_path / f"out{seed}"
+        policy = POLICY_PRESETS["ld-like"]
+        masks, _ = sample_policy_masks(policy, 4, 3, RngState(derive_utterance_seed(seed, "big")))
+        covered = np.ones((4, 3))
+        for mask in masks:
+            covered[mask_index(mask, covered.shape)] = 0.0
+        summary = run_pipeline(RunConfig(
+            manifest_path=str(manifest), output_dir=str(out), policy=policy, seed=seed,
+            stats_path=str(tmp_path / "c.spfx-stats"),
+        ))
+        if covered[1, 2] == 0.0:
+            assert summary.failures == []
+            assert read_spfx(out / "big.spfx").data[1, 2] == 0.0
+        else:
+            assert "row 1, column 2 is not finite as float32; nothing written" in summary.failures[0][1]
+            assert list(out.iterdir()) == []
+        outcomes.add(covered[1, 2] == 0.0)
+    assert outcomes == {True, False}
+
+
+REAUGMENTED_VALUES = 20000 * 80
+
+
+def reaugment_peak(tmp_path) -> tuple[RunSummary, int]:
+    """Summary and tracemalloc peak of one epoch that re-augments a 20000 x 80 record with stats."""
     write_spfx_raw(tmp_path / "long.spfx", np.random.default_rng(3).normal(size=(20000, 80)), kind_code=1)
     write_spfx_raw(tmp_path / "c.spfx-stats", [np.full(80, 0.5), np.full(80, 2.0)], kind_code=255, frame_shift_ms=0.0)
     manifest = tmp_path / "m.tsv"
@@ -210,13 +244,25 @@ def test_reaugmenting_a_record_holds_one_float64_copy_of_it(tmp_path):
     tracemalloc.start()
     try:
         summary = epoch(2)
-        peak = tracemalloc.get_traced_memory()[1]
+        return summary, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_reaugmenting_a_record_holds_one_float64_copy_of_it(tmp_path):
+    summary, peak = reaugment_peak(tmp_path)
     assert summary.failures == []
-    # the float64 matrix with either the file's bytes or the output buffer, plus
-    # a one-byte-a-value finite mask; a second float64 array does not fit
-    assert peak < 15 * values
+    # at most one float64 copy of the record beside its payload and a
+    # one-byte-a-value finite mask; a second float64 array does not fit
+    assert peak < 15 * REAUGMENTED_VALUES
+
+
+def test_reaugmenting_a_record_holds_its_float32_payload_once(tmp_path):
+    summary, peak = reaugment_peak(tmp_path)
+    assert summary.failures == []
+    # the float32 payload, read, standardized, masked and written in place, plus
+    # a one-byte-a-value finite mask; a float64 copy (8 bytes a value) does not fit
+    assert peak < 6 * REAUGMENTED_VALUES
 
 
 def test_cap_warning_recorded_in_summary(tmp_path):

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import brute_force_masked_mean, run_python
-from specmask.errors import ConfigError, EmptyInputError
+from specmask.errors import ConfigError, EmptyInputError, FormatError
 from specmask.features import FeatureMatrix
-from specmask.masking import sample_axis_masks, sample_axis_masks_batch
+from specmask.masking import MaskSpec, sample_axis_masks, sample_axis_masks_batch
+from specmask.render import render_masks_pgm
 from specmask.rng import RngState, substream_batch
 from specmask import stats
 from specmask.stats import (
@@ -191,6 +194,81 @@ def test_corpus_stats_validation():
     for mean, variance, count in cases:
         with pytest.raises(ValueError):
             CorpusStats(mean=np.array(mean), variance=np.array(variance), count=count)
+
+
+# ------------------------------------------------------- float32 features
+
+STANDARDIZE_ROWS = stats._STANDARDIZE_ROWS
+
+
+def float32_and_widened(rows: int, channels: int, seed: int) -> tuple[FeatureMatrix, FeatureMatrix]:
+    """A float32 matrix and a float64 matrix of the same values."""
+    rng = np.random.default_rng(seed)
+    loc, scale = rng.uniform(-30.0, 30.0, channels), rng.uniform(0.01, 40.0, channels)
+    narrow = rng.normal(loc=loc, scale=scale, size=(rows, channels)).astype(np.float32)
+    return (
+        FeatureMatrix(data=narrow, frame_shift_ms=10.0, kind="mfcc"),
+        FeatureMatrix(data=narrow.astype(np.float64), frame_shift_ms=10.0, kind="mfcc"),
+    )
+
+
+@pytest.mark.parametrize("channels", [1, 80])
+@pytest.mark.parametrize(
+    "rows", [1, STANDARDIZE_ROWS - 1, STANDARDIZE_ROWS, STANDARDIZE_ROWS + 1, 3 * STANDARDIZE_ROWS + 7]
+)
+def test_float32_features_give_the_bytes_of_their_float64_widening(tmp_path, rows, channels):
+    narrow, wide = float32_and_widened(rows, channels, seed=100 * rows + channels)
+    narrow_tail, wide_tail = float32_and_widened(rows + 3, channels, seed=7)
+    corpus = accumulate_stats([wide, wide_tail])
+    narrow_corpus = accumulate_stats([narrow, narrow_tail])
+    assert narrow_corpus.mean.tobytes() == corpus.mean.tobytes()
+    assert narrow_corpus.variance.tobytes() == corpus.variance.tobytes()
+
+    corpus.variance[0] = 1e-9  # below VARIANCE_FLOOR
+    expected = standardize(wide, corpus).data
+    assert standardize(narrow, corpus).data.tobytes() == expected.tobytes()
+    spare = np.empty((rows, channels))
+    assert standardize(narrow, corpus, out=spare).data.tobytes() == expected.tobytes()
+    # into float32, each value is rounded once, as the writer rounds a float64 value
+    in_place = narrow.data.copy()
+    result = standardize(FeatureMatrix(data=in_place, frame_shift_ms=10.0, kind="mfcc"), corpus, out=in_place)
+    assert result.data is in_place
+    assert in_place.tobytes() == expected.astype(np.float32).tobytes()
+    narrowed = standardize(wide, corpus, out=np.empty((rows, channels), dtype=np.float32)).data
+    assert narrowed.tobytes() == in_place.tobytes()
+
+    # 0, 1 and the values on either side of each halfway point between two gray
+    # levels, where a rescale in float32 would round to the other level
+    halves = (np.arange(255, dtype=np.float32) + np.float32(0.5)) / np.float32(255)
+    grid = np.concatenate([[0, 1], halves, np.nextafter(halves, 0), np.nextafter(halves, 1)], dtype=np.float32)
+    levels = np.resize(grid, (rows, channels))
+    masks = [MaskSpec("time", rows // 3, rows // 4), MaskSpec("frequency", channels // 2, channels // 40)]
+    render_masks_pgm(replace(narrow, data=levels), masks, tmp_path / "narrow.pgm")
+    render_masks_pgm(replace(wide, data=levels.astype(np.float64)), masks, tmp_path / "wide.pgm")
+    assert (tmp_path / "narrow.pgm").read_bytes() == (tmp_path / "wide.pgm").read_bytes()
+
+
+def test_stats_of_a_long_float32_column_are_those_of_its_widening():
+    # a float64 reduction straight over a float32 column casts it in 8192-value
+    # buffers and sums each on its own, which rounds this column's mean differently
+    narrow = np.random.default_rng(2).normal(3.0, 2.0, size=(1 << 16, 1)).astype(np.float32)
+    wide = narrow.astype(np.float64)
+    assert narrow.mean(axis=0, dtype=np.float64).tobytes() != wide.mean(axis=0).tobytes()
+    result = accumulate_stats([FeatureMatrix(data=narrow, frame_shift_ms=10.0, kind="mfcc")])
+    expected = accumulate_stats([FeatureMatrix(data=wide, frame_shift_ms=10.0, kind="mfcc")])
+    assert result.mean.tobytes() == expected.mean.tobytes()
+    assert result.variance.tobytes() == expected.variance.tobytes()
+
+
+@pytest.mark.parametrize("warning_policy", ["default", "error"])
+def test_standardize_into_float32_refuses_an_overflow_by_its_position(warning_policy):
+    data = np.ones((2 * STANDARDIZE_ROWS, 3), dtype=np.float32)
+    data[STANDARDIZE_ROWS + 5, 2] = 3e38  # about 9.5e42 once standardized against a variance of 1e-9
+    corpus = CorpusStats(mean=np.zeros(3), variance=np.array([1.0, 1.0, 1e-9]), count=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter(warning_policy)
+        with pytest.raises(FormatError, match=f"at row {STANDARDIZE_ROWS + 5}, column 2 is not finite as float32"):
+            standardize(FeatureMatrix(data=data, frame_shift_ms=10.0, kind="mfcc"), corpus, out=data)
 
 
 # ------------------------------------------------------------- exact oracles
