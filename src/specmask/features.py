@@ -12,7 +12,9 @@ repeatable.
 from __future__ import annotations
 
 import math
+import os
 import struct
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -34,6 +36,14 @@ FRAME_BLOCK = 64
 #: that keeps the chunked matmul's bytes those of one call.
 MEL_BLOCK = 256
 
+#: Rows that `FeatureMatrix.rows` and `read_spfx_rows` hand on together.  Results do not
+#: depend on it.  At 80 channels 768 rows keep a re-augmented record under 0.5 MiB; in a
+#: plain process 512 ran slower than 256 and 768 (see ROADMAP item 6).
+ROW_BLOCK = 768
+
+#: Samples that `WavSamples` reads and decodes at once, unless a slice asks for more.
+WAV_WINDOW = 1 << 15
+
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -43,19 +53,43 @@ def _float32_or_float64(values) -> np.ndarray:
     return array if array.dtype == np.float32 else array.astype(np.float64, copy=False)
 
 
+class WavSamples:
+    """An open WAV file's 16-bit samples, decoded as `read_wav` decodes them, a window at a time.
+
+    A contiguous slice is a view of the last window read when that holds it;
+    otherwise one read takes the slice and up to WAV_WINDOW samples from its start.
+    """
+
+    def __init__(self, file, offset: int, size: int) -> None:
+        self.file, self.offset, self.size = file, offset, size
+        self.first, self.window = 0, np.empty(0, dtype=np.float32)
+
+    def __getitem__(self, index: slice) -> np.ndarray:
+        start, stop, _ = index.indices(self.size)
+        if not self.first <= start <= stop <= self.first + len(self.window):
+            pcm = np.empty(min(max(stop - start, WAV_WINDOW), self.size - start), dtype="<i2")
+            self.file.seek(self.offset + 2 * start)
+            if self.file.readinto(pcm) != pcm.nbytes:
+                raise FormatError(f"{self.file.name}: data chunk ended before sample {start + len(pcm)}")
+            self.first, self.window = start, np.multiply(pcm, 2.0**-15, dtype=np.float32)
+        return self.window[start - self.first : stop - self.first]
+
+
 @dataclass(frozen=True)
 class PcmSignal:
     """Mono PCM audio: samples nominally in [-1, 1] plus the sample rate in Hz.
 
     A float32 array, such as `read_wav`'s exact decoding of 16-bit PCM, is
-    kept as it is; any other input is widened to float64.  The front end
-    computes in float64 either way.
+    kept as it is, and `WavSamples` too; any other input is widened to
+    float64.  The front end computes in float64 either way.
     """
 
-    samples: np.ndarray
+    samples: np.ndarray | WavSamples
     sample_rate: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.samples, WavSamples):
+            return
         object.__setattr__(self, "samples", _float32_or_float64(self.samples))
         if self.samples.ndim != 1 or self.samples.size == 0:
             raise ValueError("samples must be a non-empty 1-D array")
@@ -81,14 +115,7 @@ class FeatureMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "data", _float32_or_float64(self.data))
-        if self.data.ndim != 2 or self.data.shape[0] < 1 or self.data.shape[1] < 1:
-            raise ValueError(f"data must be a 2-D matrix with T >= 1 and channels >= 1, got shape {self.data.shape}")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("feature data must be finite")
-        if not (math.isfinite(self.frame_shift_ms) and self.frame_shift_ms > 0):
-            raise ValueError(f"frame_shift_ms must be finite and > 0, got {self.frame_shift_ms}")
-        if self.kind not in FEATURE_KINDS:
-            raise ValueError(f"kind must be one of {FEATURE_KINDS}, got {self.kind!r}")
+        check_features(self.data.shape, self.frame_shift_ms, self.kind, self.data)
 
     @property
     def num_frames(self) -> int:
@@ -97,6 +124,39 @@ class FeatureMatrix:
     @property
     def num_channels(self) -> int:
         return self.data.shape[1]
+
+    def rows(self) -> FeatureRows:
+        """This matrix as FeatureRows of ROW_BLOCK-row views of its own data."""
+        data = self.data
+        blocks = (data[first : first + ROW_BLOCK] for first in range(0, len(data), ROW_BLOCK))
+        return FeatureRows(self.num_frames, self.num_channels, self.frame_shift_ms, self.kind, blocks)
+
+
+def check_features(shape: tuple[int, ...], frame_shift_ms: float, kind: str, data=None) -> None:
+    """FeatureMatrix's checks on a shape, finite `data` if given, a frame shift and a kind; raises ValueError."""
+    if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"data must be a 2-D matrix with T >= 1 and channels >= 1, got shape {shape}")
+    if data is not None and not np.isfinite(data).all():
+        raise ValueError("feature data must be finite")
+    if not (math.isfinite(frame_shift_ms) and frame_shift_ms > 0):
+        raise ValueError(f"frame_shift_ms must be finite and > 0, got {frame_shift_ms}")
+    if kind not in FEATURE_KINDS:
+        raise ValueError(f"kind must be one of {FEATURE_KINDS}, got {kind!r}")
+
+
+@dataclass(frozen=True)
+class FeatureRows:
+    """A T x num_channels record whose `blocks` yield its rows in order, once, each made as it is taken.
+
+    A producer may reuse a block's array once the next is taken, and
+    `apply_masks` zeroes blocks in place.
+    """
+
+    num_frames: int
+    num_channels: int
+    frame_shift_ms: float
+    kind: str
+    blocks: Iterator[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -177,39 +237,33 @@ DSP_PRESETS = {
 }
 
 
-def read_wav(path) -> PcmSignal:
-    """Decode a RIFF/WAVE file holding 16-bit mono PCM.
+def _wav_signal(file, path) -> PcmSignal:
+    """The signal of an open RIFF/WAVE file, holding `WavSamples` of its data chunk.
 
-    Samples are scaled by 2**-15 into float32.  Every product is exact: an
-    int16 has 16 significant bits and float32 holds 24, so the samples equal
-    a float64 decoding at half its size.
     Malformed containers raise FormatError; well-formed files with an
-    unsupported encoding raise UnsupportedFormatError naming the offending
-    header field.
+    unsupported encoding raise UnsupportedFormatError naming the field.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12 or raw[0:4] != b"RIFF":
+    size = os.fstat(file.fileno()).st_size
+    head = file.read(12)
+    if len(head) < 12 or head[0:4] != b"RIFF":
         raise FormatError(f"{path}: not a RIFF container (bad magic at byte offset 0)")
-    if raw[8:12] != b"WAVE":
+    if head[8:12] != b"WAVE":
         raise FormatError(f"{path}: RIFF form type is not WAVE (byte offset 8)")
 
-    view = memoryview(raw)  # chunk bodies are sliced from it without a copy
     fmt = None
     data = None
     pos = 12
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = view[pos + 8 : pos + 8 + chunk_size]
-        if len(body) < chunk_size:
+    while pos + 8 <= size:
+        file.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", file.read(8))
+        if pos + 8 + chunk_size > size:
             raise FormatError(f"{path}: chunk {chunk_id!r} at byte offset {pos} is truncated")
         if chunk_id == b"fmt ":
             if chunk_size < 16:
                 raise FormatError(f"{path}: fmt chunk too short ({chunk_size} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            fmt = struct.unpack("<HHIIHH", file.read(16))
         elif chunk_id == b"data":
-            data = body
+            data = (pos + 8, chunk_size)
         pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None:
@@ -225,13 +279,28 @@ def read_wav(path) -> PcmSignal:
         raise UnsupportedFormatError(f"{path}: bits_per_sample={bits} (only 16-bit is supported)")
     if sample_rate == 0:
         raise FormatError(f"{path}: sample_rate is zero")
-    if len(data) == 0:
+    offset, length = data
+    if length == 0:
         raise FormatError(f"{path}: data chunk is empty")
-    if len(data) % 2:
-        raise FormatError(f"{path}: data chunk length {len(data)} is not a multiple of 2")
+    if length % 2:
+        raise FormatError(f"{path}: data chunk length {length} is not a multiple of 2")
+    return PcmSignal(samples=WavSamples(file, offset, length // 2), sample_rate=sample_rate)
 
-    samples = np.multiply(np.frombuffer(data, dtype="<i2"), 2.0**-15, dtype=np.float32)
-    return PcmSignal(samples=samples, sample_rate=sample_rate)
+
+def read_wav(path, file=None) -> PcmSignal:
+    """Decode a RIFF/WAVE file holding 16-bit mono PCM.
+
+    Samples are scaled by 2**-15 into float32.  Every product is exact: an
+    int16 has 16 significant bits and float32 holds 24, so the samples equal
+    a float64 decoding at half its size.  With `file`, `path` open for
+    reading, only the header is read now: the signal's `WavSamples` read
+    each slice the front end takes while `file` stays open.
+    """
+    if file is not None:
+        return _wav_signal(file, path)
+    with open(path, "rb") as file:
+        signal = _wav_signal(file, path)
+        return replace(signal, samples=signal.samples[:])
 
 
 def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
@@ -278,15 +347,12 @@ def frame_and_window(
 ) -> np.ndarray:
     """Pre-emphasize, slice into Hamming-windowed frames, zero-pad to the FFT size.
 
-    The last partial frame is dropped.  Returns frames first..last-1 (all of
-    them by default) as a (last - first, n_fft) float64 array; raises
-    EmptyInputError when the signal is shorter than one frame.  With `out`, a
-    float64 array of at least last - first rows and n_fft columns, the
-    windowed samples are written into the first frame_len columns of its
-    leading rows and that view of `out` is returned; the padding columns are
-    left as they are, so a buffer zeroed once serves every block.  Only the
-    samples those frames cover are pre-emphasized, with the same bytes as
-    emphasizing the whole signal.
+    Returns frames first..last-1 (all by default) as a (last - first, n_fft)
+    float64 array.  With `out`, a float64 array of at least that shape, the
+    windowed samples fill the first frame_len columns of its leading rows,
+    which are returned; the padding is left as it is, so a buffer zeroed once
+    serves every block.  Only the samples those frames cover are read and
+    pre-emphasized, with the bytes of emphasizing the whole signal.
     """
     frame_len, step, n_fft, num_frames = _frame_geometry(signal, cfg)
     last = num_frames if last is None else last
@@ -409,28 +475,11 @@ def mfcc_from_logmel(logmel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
     return replace(logmel, data=coeffs, kind="mfcc")
 
 
-def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
-    """Full front end: frame/window -> power spectrum -> log-mel -> optional MFCC.
+def _logmel_chunks(signal: PcmSignal, cfg: DspConfig, whole: bool = False) -> Iterator[np.ndarray]:
+    """The log-mel rows of each of `extract`'s mel chunks, in order.
 
-    The mel matmul, floor and log run one chunk of frames at a time.  Chunks
-    start at multiples of R = max(MEL_BLOCK, ceil(2**20 / (n_mels * (n_fft/2 + 1))))
-    frames and a remainder shorter than R joins the chunk before it; a
-    one-band bank (n_mels = 1) is one chunk.  Inside a chunk frames are
-    windowed and transformed FRAME_BLOCK at a time through one zero-padded
-    buffer into one power buffer of at most 2R - 1 rows that every chunk
-    reuses, and `mel_energies` writes the chunk's rows of one log-mel matrix;
-    the DCT then runs once on that whole matrix, after the frame buffer, the
-    power buffer and this call's reference to `signal` are dropped.  So the
-    whole frame matrix and the whole complex spectrum are never built, and
-    the power of all frames is held at once only by an utterance shorter
-    than 2R frames or a one-band bank.
-
-    The rule keeps the bytes of one matmul over the whole power matrix:
-    OpenBLAS rounds a product below about 2**20 multiply-adds (its
-    small-matrix kernel) and numpy's one-column product (gemv) differently
-    from the same rows inside one long call, so no chunk is shorter than R
-    and a one-band bank is never split.  The bytes equal
-    `power_spectrum(frame_and_window(...))` followed by the same steps.
+    With `whole` they are consecutive rows of one frames x n_mels matrix;
+    otherwise every chunk reuses one buffer of at most 2R - 1 rows.
     """
     _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
     bins = n_fft // 2 + 1
@@ -439,15 +488,45 @@ def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
     block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
     power = np.empty((num_frames - bounds[-2], bins))  # the last chunk is the longest
     sample_rate = signal.sample_rate
-    _mel_bank(cfg, n_fft, sample_rate)  # colliding mel edges are refused before the log-mel matrix is allocated
-    logmel = np.empty((num_frames, cfg.n_mels))
+    _mel_bank(cfg, n_fft, sample_rate)  # colliding mel edges are refused before any log-mel rows are allocated
+    logmel = np.empty((num_frames if whole else len(power), cfg.n_mels))
     for lo, hi in zip(bounds, bounds[1:]):
         for first in range(lo, hi, FRAME_BLOCK):
             last = min(first + FRAME_BLOCK, hi)
             power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first - lo : last - lo])
-        mel_energies(power[: hi - lo], cfg, sample_rate, out=logmel[lo:hi])
-    del block, power, signal
+        yield mel_energies(power[: hi - lo], cfg, sample_rate, out=logmel[lo:hi] if whole else logmel[: hi - lo]).data
+
+
+def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
+    """Full front end: frame/window -> power spectrum -> log-mel -> optional MFCC.
+
+    The mel matmul, floor and log run one chunk of frames at a time.  Chunks
+    start at multiples of R = max(MEL_BLOCK, ceil(2**20 / (n_mels * (n_fft/2 + 1))))
+    frames, a remainder shorter than R joins the chunk before it, and a
+    one-band bank (n_mels = 1) is one chunk.  A chunk's frames are windowed
+    and transformed FRAME_BLOCK at a time into one power buffer of at most
+    2R - 1 rows, and its log-mel rows are written into one matrix, on which
+    the DCT runs once.  The rule keeps the bytes of one matmul over the
+    whole power matrix: OpenBLAS rounds a product below about 2**20
+    multiply-adds, and numpy's one-column product, differently from the
+    same rows inside one long call.
+    """
+    for rows in _logmel_chunks(signal, cfg, whole=True):
+        logmel = rows.base  # every chunk is a view of the one log-mel matrix
+    del signal, rows
     features = FeatureMatrix(data=logmel, frame_shift_ms=cfg.frame_shift_ms, kind="log_mel")
     if cfg.feature == "mfcc":
         return mfcc_from_logmel(features, cfg.effective_n_coeffs())
     return features
+
+
+def extract_rows(signal: PcmSignal, cfg: DspConfig) -> FeatureRows:
+    """`extract(signal, cfg)` as FeatureRows, with the same bytes.
+
+    Log-mel rows are made a mel chunk at a time as they are taken, so with
+    `read_wav(path, file)`'s samples a record holds one window of samples
+    and one chunk.  MFCC is the whole matrix: its DCT's bytes follow BLAS.
+    """
+    if cfg.feature == "mfcc":
+        return extract(signal, cfg).rows()
+    return FeatureRows(_frame_geometry(signal, cfg)[3], cfg.n_mels, cfg.frame_shift_ms, "log_mel", _logmel_chunks(signal, cfg))

@@ -12,12 +12,13 @@ augmentation is reproducible and safe to parallelize across utterances.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, MaskBoundsError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, FeatureRows
 from .rng import MASK64, RngState, uniform, uniform_batch
 
 MASK_AXES = ("time", "frequency")
@@ -213,23 +214,42 @@ def mask_index(mask: MaskSpec, shape: tuple[int, int]) -> tuple[slice, slice]:
     return (span, slice(None)) if mask.axis == "time" else (slice(None), span)
 
 
-def apply_masks(features: FeatureMatrix, masks: list[MaskSpec], out: np.ndarray | None = None) -> FeatureMatrix:
+def _masked_blocks(blocks: Iterable[np.ndarray], masks: list[MaskSpec], shape: tuple[int, int]) -> Iterator[np.ndarray]:
+    """Each block of a record of `shape`, in order, with the cells of `masks` that fall in it zeroed in place."""
+    spans = [mask_index(mask, shape) for mask in masks]
+    first = 0
+    for block in blocks:
+        last = first + len(block)
+        for rows, columns in spans:
+            if rows.stop is None:  # a frequency mask
+                block[:, columns] = 0.0
+            elif rows.start < last and rows.stop > first:  # a time mask's frames in this block
+                block[max(rows.start - first, 0) : rows.stop - first] = 0.0
+        first = last
+        yield block
+
+
+def apply_masks(
+    features: FeatureMatrix | FeatureRows, masks: list[MaskSpec], out: np.ndarray | None = None
+) -> FeatureMatrix | FeatureRows:
     """Zero every masked frame row / channel column.
 
-    Without `out` a copy is masked and the input is left untouched.  With
-    `out`, an array of the features' shape, the features are masked there and
-    the returned matrix holds `out` itself.  `out=features.data` masks in
-    place, so the caller must own that array, and returns `features` itself:
-    zeroing cannot make a value non-finite, so it is not checked again.
+    Without `out` a copy is masked.  With `out`, an array of the features'
+    shape, the features are masked there and the returned matrix holds
+    `out`; `out=features.data` masks in place and returns `features` itself,
+    unchecked, since zeroing cannot make a value non-finite.  FeatureRows
+    come back as FeatureRows whose blocks are masked in place as they are taken.
     """
+    if isinstance(features, FeatureRows):
+        shape = (features.num_frames, features.num_channels)
+        return replace(features, blocks=_masked_blocks(features.blocks, masks, shape))
     if out is None:
         data = features.data.copy()
     else:
         data = out
         if data is not features.data:
             np.copyto(data, features.data)
-    for mask in masks:
-        data[mask_index(mask, data.shape)] = 0.0
+    next(_masked_blocks([data], masks, data.shape))
     return features if data is features.data else replace(features, data=data)
 
 

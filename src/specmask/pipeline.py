@@ -9,6 +9,7 @@ eval-mode output tree is byte-identical to a policy-none tree.
 
 from __future__ import annotations
 
+import os
 import typing
 from collections.abc import Callable, Iterator, Sequence
 from contextlib import nullcontext
@@ -16,11 +17,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
-from .errors import ConfigError, FormatError, SpecmaskError
-from .features import DspConfig, FeatureMatrix, extract, read_wav
-from .masking import POLICY_PRESETS, AugmentPolicy, augment, masks_to_text
+from .errors import ConfigError, SpecmaskError
+from .features import DspConfig, FeatureMatrix, extract, extract_rows, read_wav
+from .masking import POLICY_PRESETS, AugmentPolicy, apply_masks, masks_to_text, sample_policy_masks
 from .rng import RngState, derive_utterance_seed
-from .spfx import read_spfx, read_stats_container, write_spfx
+from .spfx import read_spfx, read_spfx_rows, read_stats_container, write_spfx
 from .stats import CorpusStats, standardize
 from .manifest import Manifest, ManifestRecord, parse_manifest
 
@@ -113,34 +114,39 @@ def _process_one(
     config: RunConfig,
     stats: CorpusStats | None,
 ) -> tuple[int, list[str]]:
-    # the record's one array, just allocated by the reader (float32) or the
-    # front end (float64): standardized and masked in place, then written;
-    # each value is rounded to float32 once, by standardize or by the writer
-    features = load_features(record, base_dir, config.dsp)
-    if stats is not None:
-        try:
-            features = standardize(features, stats, out=features.data)
-        except FormatError:
-            # a standardized value overflows float32, but a mask may cover it: the
-            # record is read again and kept in float64 until the writer checks it
-            features = standardize(load_features(record, base_dir, config.dsp), stats)
-    policy = config.effective_policy
-    notes: list[str] = []
-    if policy.num_time_masks > features.num_frames:
-        notes.append(
-            f"{record.utterance_id}: requested {policy.num_time_masks} time masks "
-            f"but only {features.num_frames} frames; capped"
-        )
-    if policy.num_freq_masks > features.num_channels:
-        notes.append(
-            f"{record.utterance_id}: requested {policy.num_freq_masks} frequency masks "
-            f"but only {features.num_channels} channels; capped"
-        )
-    rng = RngState(derive_utterance_seed(config.seed, record.utterance_id))
-    masked, masks, _ = augment(features, policy, rng, out=features.data)
-    write_spfx(masked, out_dir / f"{record.utterance_id}.spfx")
-    # the sidecar is written even when empty, so eval trees match policy-none trees
-    (out_dir / f"{record.utterance_id}.masks").write_text(masks_to_text(masks), encoding="utf-8")
+    path = base_dir / record.path
+    target = out_dir / f"{record.utterance_id}.spfx"
+    sidecar = out_dir / f"{record.utterance_id}.masks"
+    try:
+        with open(path, "rb") as file:
+            # only the header is read here: T, F and the masks come before any value
+            if path.suffix == ".spfx":
+                features = read_spfx_rows(path, file)
+            else:
+                features = extract_rows(read_wav(path, file), config.dsp)
+            policy = config.effective_policy
+            notes = [
+                f"{record.utterance_id}: requested {count} {axis} masks but only {extent} {unit}; capped"
+                for count, axis, extent, unit in (
+                    (policy.num_time_masks, "time", features.num_frames, "frames"),
+                    (policy.num_freq_masks, "frequency", features.num_channels, "channels"),
+                )
+                if count > extent
+            ]
+            rng = RngState(derive_utterance_seed(config.seed, record.utterance_id))
+            masks, _ = sample_policy_masks(policy, features.num_frames, features.num_channels, rng)
+            if stats is not None:
+                features = standardize(features, stats)
+            # each block is read or computed, standardized, masked, rounded to
+            # float32, checked and appended before the next is made
+            write_spfx(apply_masks(features, masks), target)
+        # the sidecar is written even when empty, so eval trees match policy-none trees
+        sidecar.write_text(masks_to_text(masks), encoding="utf-8")
+    except BaseException:
+        # a failed record leaves no file of its id, not even one from an earlier run
+        target.unlink(missing_ok=True)
+        sidecar.unlink(missing_ok=True)
+        raise
     return len(masks), notes
 
 
@@ -151,6 +157,10 @@ def run_pipeline(config: RunConfig) -> RunSummary:
     base_dir = manifest_path.parent
     stats = read_stats_container(config.stats_path) if config.stats_path else None
     out_dir = Path(config.output_dir)
+    real_base, real_out = base_dir.resolve(), out_dir.resolve()
+    for record in manifest.records:  # a record streams from its input to its output, so they must differ
+        if os.path.normpath(real_base / record.path) == str(real_out / f"{record.utterance_id}.spfx"):
+            raise ConfigError(f"record {record.utterance_id!r}: its input {record.path} is its own output file")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = RunSummary()

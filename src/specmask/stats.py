@@ -14,13 +14,13 @@ errors, which is what `verify` reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, FormatError
-from .features import FeatureMatrix
+from .features import FeatureMatrix, FeatureRows
 from .masking import check_axis, sample_axis_masks_batch
 from .rng import RngState, derive_utterance_seed, substream_batch
 
@@ -115,18 +115,61 @@ def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
     return CorpusStats(mean=mean, variance=variance, count=count)
 
 
-def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | None = None) -> FeatureMatrix:
+def _round_into(data: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray, wide: np.ndarray):
+    """Store `data` standardized in `out`, whose dtype is not float64, len(wide) rows at a time.
+
+    Each block of rows is computed in the float64 `wide` first, so each value
+    is rounded once.  Returns None, or the first row and the float64 rows of
+    the first block holding a value that overflows `out`'s dtype.
+    """
+    with np.errstate(over="raise"):  # costs nothing until a value overflows
+        for first in range(0, len(data), len(wide)):
+            rows = wide[: min(len(wide), len(data) - first)]
+            try:
+                np.copyto(rows, data[first : first + len(rows)])  # widened first: mixed-dtype operands ran slower
+                np.subtract(rows, mean, out=rows)
+                np.divide(rows, scale, out=rows)
+                np.copyto(out[first : first + len(rows)], rows)
+            except FloatingPointError:
+                return first, rows
+    return None
+
+
+def _standardized_blocks(blocks: Iterable[np.ndarray], mean: np.ndarray, scale: np.ndarray) -> Iterator[np.ndarray]:
+    """Each block standardized in place: a float64 one whole, any other rounded from float64 rows."""
+    wide = np.empty((_STANDARDIZE_ROWS, len(mean)))
+    for block in blocks:
+        if block.dtype == np.float64:
+            np.subtract(block, mean, out=block)
+            yield np.divide(block, scale, out=block)
+            continue
+        overflow = _round_into(block, mean, scale, block, wide)
+        if overflow is not None:
+            # the block goes on in float64, so the writer can name the value unless a mask
+            # covers it; rows before `first` are rounded already and widen back exactly
+            first, rows = overflow
+            block = block.astype(np.float64)
+            block[first : first + len(rows)] = rows
+            rest = block[first + len(rows) :]
+            np.divide(np.subtract(rest, mean, out=rest), scale, out=rest)
+        yield block
+
+
+def standardize(
+    features: FeatureMatrix | FeatureRows, stats: CorpusStats, out: np.ndarray | None = None
+) -> FeatureMatrix | FeatureRows:
     """Per-channel (x - mean) / sqrt(max(variance, 1e-8)), computed in float64.
 
-    Without `out` the result is a new float64 array and the input is left
-    untouched.  With `out`, an array of the features' shape, each value is
-    stored in `out`'s dtype and the returned matrix holds `out` itself;
-    `out=features.data` standardizes in place, so the caller must own that
-    array.  A float64 `out` is computed whole.  Any other `out` is filled
-    _STANDARDIZE_ROWS rows at a time through one float64 block, so each value
-    is rounded once, as `write_spfx` rounds a float64 value; a value that is
-    not finite there raises FormatError naming its row and column, and rows
-    of `out` before its block already hold their results.
+    Without `out` the result is a new float64 array.  With `out`, an array
+    of the features' shape (`features.data` itself included), each value is
+    stored in `out`'s dtype and the returned matrix holds `out`; any dtype
+    but float64 is filled _STANDARDIZE_ROWS rows at a time from one float64
+    block, so each value is rounded once, and a value that is not finite
+    there raises FormatError naming its row and column.  FeatureRows come
+    back as FeatureRows whose blocks are standardized in place as they are
+    taken, float32 ones that way; a float32 block holding a value that
+    overflows goes on in float64, for the writer to report unless a mask
+    covers the value.
     """
     if stats.num_channels != features.num_channels:
         raise ConfigError(
@@ -134,6 +177,9 @@ def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | N
         )
     # both paths divide: a multiply by 1/scale would round differently
     scale = np.sqrt(np.maximum(stats.variance, VARIANCE_FLOOR))
+    kind = "standardized_" + features.kind.removeprefix("standardized_")
+    if isinstance(features, FeatureRows):
+        return replace(features, kind=kind, blocks=_standardized_blocks(features.blocks, stats.mean, scale))
     data = features.data
     if out is None:
         out = np.empty(data.shape)
@@ -141,28 +187,17 @@ def standardize(features: FeatureMatrix, stats: CorpusStats, out: np.ndarray | N
         np.subtract(data, stats.mean, out=out)
         np.divide(out, scale, out=out)
     else:
-        block = np.empty((min(_STANDARDIZE_ROWS, len(data)), data.shape[1]))
-        try:
-            with np.errstate(over="raise"):  # costs nothing until a value overflows
-                for first in range(0, len(data), _STANDARDIZE_ROWS):
-                    rows = out[first : first + _STANDARDIZE_ROWS]
-                    wide = block[: len(rows)]
-                    np.copyto(wide, data[first : first + len(rows)])
-                    np.subtract(wide, stats.mean, out=wide)
-                    np.divide(wide, scale, out=wide)
-                    np.copyto(rows, wide)
-        except FloatingPointError:
+        wide = np.empty((min(_STANDARDIZE_ROWS, len(data)), data.shape[1]))
+        overflow = _round_into(data, stats.mean, scale, out, wide)
+        if overflow is not None:
+            first, wide = overflow
             with np.errstate(over="ignore"):
                 row, column = np.argwhere(~np.isfinite(wide.astype(out.dtype)))[0]
             raise FormatError(
                 f"standardized value {float(wide[row, column])!r} at row {first + row}, column {column} "
                 f"is not finite as {out.dtype}"
             ) from None
-    return FeatureMatrix(
-        data=out,
-        frame_shift_ms=features.frame_shift_ms,
-        kind="standardized_" + features.kind.removeprefix("standardized_"),
-    )
+    return FeatureMatrix(data=out, frame_shift_ms=features.frame_shift_ms, kind=kind)
 
 
 def exact_masked_mean(max_width: int, extent: int) -> float:

@@ -291,6 +291,46 @@ def test_spfx_inputs_with_a_bad_frame_shift_fail_their_records(tmp_path, capsys)
     assert list(out.iterdir()) == []
 
 
+def test_an_overflowing_value_is_reported_as_a_plain_number(tmp_path, capsys):
+    # 3e38 over a scale of 1e-4 (a variance of 1e-9, below the floor) is about
+    # 3e42, which float32 cannot hold; extract draws no mask to cover it
+    big = np.ones((4, 3))
+    big[1, 2] = 3e38
+    write_spfx_raw(tmp_path / "big.spfx", big, kind_code=1)
+    write_spfx_raw(tmp_path / "c.spfx-stats", [[0.0, 0.0, 0.0], [1.0, 1.0, 1e-9]], kind_code=255, frame_shift_ms=0.0)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("big\tbig.spfx\n", encoding="utf-8")
+    out = tmp_path / "out"
+    stats = str(tmp_path / "c.spfx-stats")
+    assert main(["extract", "--stats", stats, "--manifest", str(manifest), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"failed: big: {out / 'big.spfx'}: value 3.000000005497756e+42 at row 1, column 2 "
+        "is not finite as float32; nothing written\n"
+    )
+    assert "np.float64(" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("alias", [False, True])
+def test_a_record_whose_input_is_its_own_output_exits_2(tmp_path, capsys, alias):
+    # records stream from input to output, so writing over the input would
+    # truncate it before it is read; an --out reached through a link counts too
+    write_spfx_raw(tmp_path / "u0.spfx", np.ones((5, 3)), kind_code=1)
+    before = (tmp_path / "u0.spfx").read_bytes()
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("u0\tu0.spfx\n", encoding="utf-8")
+    out = tmp_path
+    if alias:
+        out = tmp_path.parent / f"{tmp_path.name}-link"
+        out.symlink_to(tmp_path, target_is_directory=True)
+    assert main(["augment", "--policy", "ld-like", "--manifest", str(manifest), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: record 'u0': its input u0.spfx is its own output file\n"
+    assert (tmp_path / "u0.spfx").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv", "u0.spfx"]
+
+
 def test_render_sidecar_that_does_not_fit_exits_2(tmp_path, capsys):
     manifest = build_corpus(tmp_path, 1)
     out = tmp_path / "out"

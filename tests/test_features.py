@@ -29,6 +29,8 @@ from specmask.features import (
     pre_emphasize,
     read_wav,
 )
+from specmask.pipeline import RunConfig, run_pipeline
+from specmask.spfx import write_spfx
 
 from conftest import write_wav, write_wav_int16
 
@@ -606,6 +608,60 @@ def test_read_wav_features_are_those_of_the_widened_samples(tmp_path, preset, le
     widened = PcmSignal(samples=signal.samples.astype(np.float64), sample_rate=rate)
     assert signal.samples.dtype == np.float32 and widened.samples.dtype == np.float64
     assert extract(signal, cfg).data.tobytes() == extract(widened, cfg).data.tobytes()
+
+
+def write_wav_data_later(path, samples: np.ndarray, rate: int) -> None:
+    """A stdlib-written WAV with an odd-sized chunk and its pad byte put between fmt and data."""
+    write_wav(path, samples, rate)
+    raw = path.read_bytes()  # RIFF header, then the 24-byte fmt chunk, then data
+    body = b"WAVE" + raw[12:36] + b"LIST" + struct.pack("<I", 3) + b"abc\x00" + raw[36:]
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+
+
+@pytest.mark.parametrize("layout", ["data-after-fmt", "data-later"])
+@pytest.mark.parametrize("case", sorted(_BIT_CASES))
+@pytest.mark.parametrize(
+    "length",
+    ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s", "silent-frames"]
+    + ["mel-1", "mel", "mel+1", "2mel-1", "2mel", "2mel+1", "3mel+7"],
+)
+def test_the_pipelines_streamed_records_have_the_bytes_of_extract(tmp_path, case, length, layout):
+    # the pipeline reads a WAV record's samples a window at a time and writes
+    # its rows a mel chunk at a time; CI runs this file unpinned and with BLAS
+    # pinned to one thread
+    cfg, rate = _BIT_CASES[case]
+    frame_len, step = cfg.frame_length(rate), cfg.frame_step(rate)
+    samples = noise_signal(bit_case_samples(cfg, rate, length), rate).samples
+    if length == "silent-frames":
+        samples[10 * step : 15 * step + frame_len] = 0.0
+    path = tmp_path / "in.wav"
+    (write_wav if layout == "data-after-fmt" else write_wav_data_later)(path, samples, rate)
+    write_spfx(extract(read_wav(path), cfg), tmp_path / "whole.spfx")
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("in\tin.wav\n", encoding="utf-8")
+    summary = run_pipeline(RunConfig(manifest_path=str(manifest), output_dir=str(tmp_path / "out"), dsp=cfg, mode="eval"))
+    assert summary.failures == []
+    assert (tmp_path / "out" / "in.spfx").read_bytes() == (tmp_path / "whole.spfx").read_bytes()
+
+
+@pytest.mark.parametrize("layout", ["data-after-fmt", "data-later"])
+def test_a_streamed_signal_reads_the_spans_and_frames_of_a_read_one(tmp_path, layout):
+    cfg, rate = DSP_PRESETS["librispeech-like"], 16000
+    path = tmp_path / "in.wav"
+    size = 2 * rate + 7
+    (write_wav if layout == "data-after-fmt" else write_wav_data_later)(path, noise_signal(size, rate).samples, rate)
+    read = read_wav(path)
+    with open(path, "rb") as file:
+        streamed = read_wav(path, file)
+        assert (streamed.samples.size, streamed.sample_rate) == (size, rate)
+        # within the last window read, across its end, and past it
+        for lo, hi in [(0, 1), (0, 400), (1, 2), (5000, 6001), (32760, 32800), (size - 3, size), (0, size)]:
+            assert streamed.samples[lo:hi].tobytes() == read.samples[lo:hi].tobytes()
+        # a block that starts at frame 0, and later ones that pre-emphasize from the sample before them
+        for first, last in [(0, FRAME_BLOCK), (1, 2), (37, 37 + FRAME_BLOCK)]:
+            expected = frame_and_window(read, cfg, first, last)
+            assert frame_and_window(streamed, cfg, first, last).tobytes() == expected.tobytes()
+        assert extract(streamed, cfg).data.tobytes() == extract(read, cfg).data.tobytes()
 
 
 def bit_case_samples(cfg: DspConfig, rate: int, length: str) -> int:

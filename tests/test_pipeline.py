@@ -12,7 +12,7 @@ import pytest
 
 from specmask.cli import main
 from specmask.errors import ConfigError, FormatError
-from specmask.features import DspConfig
+from specmask.features import ROW_BLOCK, DspConfig
 from specmask.manifest import ManifestRecord
 from specmask.masking import POLICY_PRESETS, AugmentPolicy, mask_index, masks_from_text, sample_policy_masks
 from specmask.pipeline import RunConfig, RunSummary, map_records, parse_dsp_config, run_pipeline
@@ -20,7 +20,16 @@ from specmask.rng import RngState, derive_utterance_seed
 from specmask.spfx import read_spfx, write_stats_container
 from specmask.stats import CorpusStats
 
-from conftest import build_corpus, build_spfx_corpus, golden_stats, tree_bytes, tree_digest, write_spfx_raw, write_wav
+from conftest import (
+    build_corpus,
+    build_spfx_corpus,
+    golden_stats,
+    tree_bytes,
+    tree_digest,
+    write_spfx_raw,
+    write_wav,
+    write_wav_int16,
+)
 
 
 def test_train_run_writes_features_and_sidecars(tmp_path):
@@ -189,8 +198,8 @@ def test_a_value_that_overflows_float32_fails_only_its_record(tmp_path, warning_
 
 
 def test_an_overflow_that_a_mask_covers_is_written_as_zero(tmp_path):
-    # standardize refuses 9.5e42 in the float32 record, but the pipeline redoes the
-    # record in float64, so it fails exactly when the value is left unmasked
+    # the record is standardized in float64 and rounded to float32 only after
+    # masking, so 9.5e42 fails it exactly when the value is left unmasked
     big = np.ones((4, 3))
     big[1, 2] = 3e38
     write_spfx_raw(tmp_path / "big.spfx", big, kind_code=1)
@@ -216,6 +225,41 @@ def test_an_overflow_that_a_mask_covers_is_written_as_zero(tmp_path):
             assert "row 1, column 2 is not finite as float32; nothing written" in summary.failures[0][1]
             assert list(out.iterdir()) == []
         outcomes.add(covered[1, 2] == 0.0)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("row", [ROW_BLOCK + 10, ROW_BLOCK + 270])
+def test_an_overflow_in_a_later_block_gives_the_bytes_of_the_float64_route(tmp_path, row):
+    # the record's second block holds the overflow, in its first or second
+    # float64 block of rows; rows around it keep the bytes of standardizing the
+    # whole record in float64, masking and rounding once
+    values = np.random.default_rng(row).normal(size=(ROW_BLOCK + 300, 3))
+    values[row, 2] = 3e38
+    write_spfx_raw(tmp_path / "big.spfx", values, kind_code=1)
+    write_spfx_raw(tmp_path / "c.spfx-stats", [[0.5, -1.0, 0.0], [2.0, 0.5, 1e-9]], kind_code=255, frame_shift_ms=0.0)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("big\tbig.spfx\n", encoding="utf-8")
+    widened = values.astype(np.float32).astype(np.float64)
+    standardized = (widened - [0.5, -1.0, 0.0]) / np.sqrt(np.maximum(np.float32([2.0, 0.5, 1e-9]).astype(np.float64), 1e-8))
+    outcomes = set()
+    for seed in range(12):
+        out = tmp_path / f"out{seed}"
+        policy = POLICY_PRESETS["ld-like"]
+        masks, _ = sample_policy_masks(policy, len(values), 3, RngState(derive_utterance_seed(seed, "big")))
+        expected = standardized.copy()
+        for mask in masks:
+            expected[mask_index(mask, expected.shape)] = 0.0
+        summary = run_pipeline(RunConfig(
+            manifest_path=str(manifest), output_dir=str(out), policy=policy, seed=seed,
+            stats_path=str(tmp_path / "c.spfx-stats"),
+        ))
+        if expected[row, 2] == 0.0:
+            assert summary.failures == []
+            assert read_spfx(out / "big.spfx").data.tobytes() == expected.astype(np.float32).tobytes()
+        else:
+            assert f"at row {row}, column 2 is not finite as float32; nothing written" in summary.failures[0][1]
+            assert list(out.iterdir()) == []
+        outcomes.add(expected[row, 2] == 0.0)
     assert outcomes == {True, False}
 
 
@@ -263,6 +307,76 @@ def test_reaugmenting_a_record_holds_its_float32_payload_once(tmp_path):
     # the float32 payload, read, standardized, masked and written in place, plus
     # a one-byte-a-value finite mask; a float64 copy (8 bytes a value) does not fit
     assert peak < 6 * REAUGMENTED_VALUES
+
+
+def one_record_peak(tmp_path, input_name: str, **fields) -> int:
+    """tracemalloc peak of a run over the one record `input_name`, after a first run has built the cached constants."""
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"rec\t{input_name}\n", encoding="utf-8")
+    config = RunConfig(manifest_path=str(manifest), output_dir=str(tmp_path / "out"), **fields)
+    assert run_pipeline(config).failures == []
+    tracemalloc.start()
+    try:
+        summary = run_pipeline(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.failures == []
+    return peak
+
+
+def test_a_log_mel_records_peak_does_not_grow_with_its_length(tmp_path):
+    # a WAV record streams to its .spfx in windows of samples and mel chunks of
+    # rows, so a 5-minute record holds no more than a 1-minute one
+    peaks = {}
+    for minutes in (1, 5):
+        values = np.random.default_rng(minutes).integers(-12000, 12000, size=minutes * 60 * 16000, dtype=np.int16)
+        write_wav_int16(tmp_path / f"{minutes}.wav", values, 16000)
+        peaks[minutes] = one_record_peak(tmp_path, f"{minutes}.wav", mode="eval")
+    assert abs(peaks[5] - peaks[1]) < 256 * 1024, peaks
+    assert peaks[5] < 2 * 2**20, peaks
+
+
+def test_an_spfx_records_peak_does_not_grow_with_its_length(tmp_path):
+    # an SPFX record is read, standardized, masked and written ROW_BLOCK rows at
+    # a time, so 30,000 rows hold no more than 6,000
+    write_spfx_raw(tmp_path / "c.spfx-stats", [np.full(80, 0.5), np.full(80, 2.0)], kind_code=255, frame_shift_ms=0.0)
+    peaks = {}
+    for rows in (6000, 30000):
+        write_spfx_raw(tmp_path / f"{rows}.spfx", np.random.default_rng(rows).normal(size=(rows, 80)), kind_code=1)
+        peaks[rows] = one_record_peak(
+            tmp_path, f"{rows}.spfx", policy=POLICY_PRESETS["ld-like"], seed=2, stats_path=str(tmp_path / "c.spfx-stats")
+        )
+    assert abs(peaks[30000] - peaks[6000]) < 256 * 1024, peaks
+    assert peaks[30000] < 2**19, peaks
+
+
+@pytest.mark.parametrize("workers", [1, 8])
+def test_a_nan_in_the_last_row_block_fails_only_its_record_and_leaves_no_file(tmp_path, workers):
+    # the record's first blocks are written before its last is read; the
+    # partial file is removed, and so are files of that id from an earlier run
+    late = np.ones((3 * ROW_BLOCK + 5, 4))
+    late[-1, 2] = np.nan
+    write_spfx_raw(tmp_path / "late.spfx", late, kind_code=1)
+    write_spfx_raw(tmp_path / "fine.spfx", np.ones((7, 4)), kind_code=1)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text("late\tlate.spfx\nfine\tfine.spfx\n", encoding="utf-8")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "late.spfx").write_bytes(b"left by an earlier run")
+    (out / "late.masks").write_text("time\t0\t1\n", encoding="utf-8")
+    summary = run_pipeline(
+        RunConfig(
+            manifest_path=str(manifest),
+            output_dir=str(out),
+            policy=POLICY_PRESETS["ld-like"],
+            seed=4,
+            num_workers=workers,
+        )
+    )
+    assert summary.failures == [("late", f"{tmp_path / 'late.spfx'}: feature data must be finite")]
+    assert summary.utterances_processed == 1
+    assert sorted(p.name for p in out.iterdir()) == ["fine.masks", "fine.spfx"]
 
 
 def test_cap_warning_recorded_in_summary(tmp_path):
