@@ -6,7 +6,9 @@ deterministic: the same input bytes and configuration produce bit-identical
 feature matrices on the same machine, BLAS build and BLAS thread count.
 The matmuls go through BLAS, whose rounding can follow its thread count: at
 `iwslt-like` (n_fft 1024) one thread and two give different bytes, each
-repeatable.
+repeatable.  `extract_rows` makes the features one chunk of R to 2R - 1
+frames at a time, so that every product's bytes are those of one product
+over all frames; `extract` collects those rows into one matrix.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ FEATURE_KINDS = ("log_mel", "mfcc", "standardized_log_mel", "standardized_mfcc")
 #: (`BENCH_frontend_blocks.json` has the sweep).
 FRAME_BLOCK = 64
 
-#: Fewest frames in one of `extract`'s mel chunks; see `extract` for the rule
-#: that keeps the chunked matmul's bytes those of one call.
+#: Fewest frames in one of `extract_rows`'s chunks; see `extract_rows` for
+#: the rule that keeps each chunk's products' bytes those of one call.
 MEL_BLOCK = 256
 
 #: Rows that `FeatureMatrix.rows` and `read_spfx_rows` hand on together.  Results do not
@@ -475,58 +477,56 @@ def mfcc_from_logmel(logmel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
     return replace(logmel, data=coeffs, kind="mfcc")
 
 
-def _logmel_chunks(signal: PcmSignal, cfg: DspConfig, whole: bool = False) -> Iterator[np.ndarray]:
-    """The log-mel rows of each of `extract`'s mel chunks, in order.
-
-    With `whole` they are consecutive rows of one frames x n_mels matrix;
-    otherwise every chunk reuses one buffer of at most 2R - 1 rows.
-    """
+def _feature_chunks(signal: PcmSignal, cfg: DspConfig) -> Iterator[np.ndarray]:
+    """The feature rows of each of `extract_rows`'s chunks, in order, each in a buffer the next reuses."""
     _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
     bins = n_fft // 2 + 1
     rows = num_frames if cfg.n_mels == 1 else max(MEL_BLOCK, -(-(1 << 20) // (cfg.n_mels * bins)))
-    bounds = [*range(0, max(num_frames // rows, 1) * rows, rows), num_frames]  # the remainder joins the last chunk
+    chunks = max(num_frames // rows, 1)
+    bounds = [num_frames * i // chunks for i in range(chunks + 1)]
+    longest = -(-num_frames // chunks)
     block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
-    power = np.empty((num_frames - bounds[-2], bins))  # the last chunk is the longest
+    power = np.empty((longest, bins))
     sample_rate = signal.sample_rate
     _mel_bank(cfg, n_fft, sample_rate)  # colliding mel edges are refused before any log-mel rows are allocated
-    logmel = np.empty((num_frames if whole else len(power), cfg.n_mels))
+    logmel = np.empty((longest, cfg.n_mels))
     for lo, hi in zip(bounds, bounds[1:]):
         for first in range(lo, hi, FRAME_BLOCK):
             last = min(first + FRAME_BLOCK, hi)
             power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first - lo : last - lo])
-        yield mel_energies(power[: hi - lo], cfg, sample_rate, out=logmel[lo:hi] if whole else logmel[: hi - lo]).data
-
-
-def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
-    """Full front end: frame/window -> power spectrum -> log-mel -> optional MFCC.
-
-    The mel matmul, floor and log run one chunk of frames at a time.  Chunks
-    start at multiples of R = max(MEL_BLOCK, ceil(2**20 / (n_mels * (n_fft/2 + 1))))
-    frames, a remainder shorter than R joins the chunk before it, and a
-    one-band bank (n_mels = 1) is one chunk.  A chunk's frames are windowed
-    and transformed FRAME_BLOCK at a time into one power buffer of at most
-    2R - 1 rows, and its log-mel rows are written into one matrix, on which
-    the DCT runs once.  The rule keeps the bytes of one matmul over the
-    whole power matrix: OpenBLAS rounds a product below about 2**20
-    multiply-adds, and numpy's one-column product, differently from the
-    same rows inside one long call.
-    """
-    for rows in _logmel_chunks(signal, cfg, whole=True):
-        logmel = rows.base  # every chunk is a view of the one log-mel matrix
-    del signal, rows
-    features = FeatureMatrix(data=logmel, frame_shift_ms=cfg.frame_shift_ms, kind="log_mel")
-    if cfg.feature == "mfcc":
-        return mfcc_from_logmel(features, cfg.effective_n_coeffs())
-    return features
+        features = mel_energies(power[: hi - lo], cfg, sample_rate, out=logmel[: hi - lo])
+        if cfg.feature == "mfcc":
+            features = mfcc_from_logmel(features, cfg.effective_n_coeffs())
+        yield features.data
 
 
 def extract_rows(signal: PcmSignal, cfg: DspConfig) -> FeatureRows:
-    """`extract(signal, cfg)` as FeatureRows, with the same bytes.
+    """Full front end as FeatureRows: frame/window -> power spectrum -> log-mel -> optional MFCC.
 
-    Log-mel rows are made a mel chunk at a time as they are taken, so with
+    Rows are made one chunk at a time as they are taken.  With
+    R = max(MEL_BLOCK, ceil(2**20 / (n_mels * (n_fft/2 + 1)))), the T frames
+    are split evenly into k = max(T // R, 1) chunks, at frames T * i // k:
+    each chunk has R to 2R - 1 frames, or all T when T < R or the bank has
+    one band (n_mels = 1).  A chunk's frames are windowed and transformed
+    FRAME_BLOCK at a time into one power buffer of ceil(T / k) rows, and the
+    mel matmul, floor, log and DCT run over the chunk's rows.  So with
     `read_wav(path, file)`'s samples a record holds one window of samples
-    and one chunk.  MFCC is the whole matrix: its DCT's bytes follow BLAS.
+    and fewer than 2R rows of each stage, whatever its length.  The rule
+    keeps the bytes of one product over all frames: OpenBLAS rounds a
+    product below about 2**20 multiply-adds, and numpy's one-column product,
+    differently from the same rows inside one long call.
     """
-    if cfg.feature == "mfcc":
-        return extract(signal, cfg).rows()
-    return FeatureRows(_frame_geometry(signal, cfg)[3], cfg.n_mels, cfg.frame_shift_ms, "log_mel", _logmel_chunks(signal, cfg))
+    channels = cfg.effective_n_coeffs() if cfg.feature == "mfcc" else cfg.n_mels
+    num_frames = _frame_geometry(signal, cfg)[3]
+    return FeatureRows(num_frames, channels, cfg.frame_shift_ms, cfg.feature, _feature_chunks(signal, cfg))
+
+
+def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
+    """`extract_rows(signal, cfg)` collected into one T x channels matrix, with the same bytes."""
+    rows = extract_rows(signal, cfg)
+    data = np.empty((rows.num_frames, rows.num_channels))
+    first = 0
+    for block in rows.blocks:
+        data[first : first + len(block)] = block
+        first += len(block)
+    return FeatureMatrix(data=data, frame_shift_ms=rows.frame_shift_ms, kind=rows.kind)

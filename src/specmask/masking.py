@@ -229,36 +229,27 @@ def _masked_blocks(blocks: Iterable[np.ndarray], masks: list[MaskSpec], shape: t
         yield block
 
 
-def apply_masks(
-    features: FeatureMatrix | FeatureRows, masks: list[MaskSpec], out: np.ndarray | None = None
-) -> FeatureMatrix | FeatureRows:
+def apply_masks(features: FeatureMatrix | FeatureRows, masks: list[MaskSpec]) -> FeatureMatrix | FeatureRows:
     """Zero every masked frame row / channel column.
 
-    Without `out` a copy is masked.  With `out`, an array of the features'
-    shape, the features are masked there and the returned matrix holds
-    `out`; `out=features.data` masks in place and returns `features` itself,
-    unchecked, since zeroing cannot make a value non-finite.  FeatureRows
-    come back as FeatureRows whose blocks are masked in place as they are taken.
+    A FeatureMatrix is masked in a copy; its input is left untouched.
+    FeatureRows come back as FeatureRows whose blocks are masked in place as
+    they are taken.
     """
     if isinstance(features, FeatureRows):
         shape = (features.num_frames, features.num_channels)
         return replace(features, blocks=_masked_blocks(features.blocks, masks, shape))
-    if out is None:
-        data = features.data.copy()
-    else:
-        data = out
-        if data is not features.data:
-            np.copyto(data, features.data)
+    data = features.data.copy()
     next(_masked_blocks([data], masks, data.shape))
-    return features if data is features.data else replace(features, data=data)
+    return replace(features, data=data)
 
 
 def augment(
-    features: FeatureMatrix, policy: AugmentPolicy, rng: RngState, out: np.ndarray | None = None
+    features: FeatureMatrix, policy: AugmentPolicy, rng: RngState
 ) -> tuple[FeatureMatrix, list[MaskSpec], RngState]:
-    """Sample masks for the policy and apply them, to a copy or into `out` as apply_masks does."""
+    """Sample masks for the policy and apply them to a copy."""
     masks, rng = sample_policy_masks(policy, features.num_frames, features.num_channels, rng)
-    return apply_masks(features, masks, out=out), masks, rng
+    return apply_masks(features, masks), masks, rng
 
 
 def masks_to_text(masks: list[MaskSpec]) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, FormatError
+from .errors import ConfigError, EmptyInputError
 from .features import FeatureMatrix, FeatureRows
 from .masking import check_axis, sample_axis_masks_batch
 from .rng import RngState, derive_utterance_seed, substream_batch
@@ -33,9 +33,9 @@ MIN_TRIALS = 100
 #: not depend on it: every trial draws from its own substream.
 MC_BLOCK_TRIALS = 1 << 14
 
-#: Rows that `standardize` computes together in float64 before it stores
-#: them in an `out` that is not float64, such as a float32 record's own
-#: array.  Results do not depend on it; 256 and 1024 ran about as fast on
+#: Rows of a block that is not float64, such as a float32 SPFX block, that
+#: `standardize` computes together in float64 before it stores them back in
+#: the block.  Results do not depend on it; 256 and 1024 ran about as fast on
 #: a 1300 x 80 record, 32 to 128 slower.
 _STANDARDIZE_ROWS = 256
 
@@ -115,21 +115,21 @@ def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
     return CorpusStats(mean=mean, variance=variance, count=count)
 
 
-def _round_into(data: np.ndarray, mean: np.ndarray, scale: np.ndarray, out: np.ndarray, wide: np.ndarray):
-    """Store `data` standardized in `out`, whose dtype is not float64, len(wide) rows at a time.
+def _round_in_place(block: np.ndarray, mean: np.ndarray, scale: np.ndarray, wide: np.ndarray):
+    """Standardize `block`, whose dtype is not float64, in place, len(wide) rows at a time.
 
     Each block of rows is computed in the float64 `wide` first, so each value
     is rounded once.  Returns None, or the first row and the float64 rows of
-    the first block holding a value that overflows `out`'s dtype.
+    the first block holding a value that overflows `block`'s dtype.
     """
     with np.errstate(over="raise"):  # costs nothing until a value overflows
-        for first in range(0, len(data), len(wide)):
-            rows = wide[: min(len(wide), len(data) - first)]
+        for first in range(0, len(block), len(wide)):
+            rows = wide[: min(len(wide), len(block) - first)]
             try:
-                np.copyto(rows, data[first : first + len(rows)])  # widened first: mixed-dtype operands ran slower
+                np.copyto(rows, block[first : first + len(rows)])  # widened first: mixed-dtype operands ran slower
                 np.subtract(rows, mean, out=rows)
                 np.divide(rows, scale, out=rows)
-                np.copyto(out[first : first + len(rows)], rows)
+                np.copyto(block[first : first + len(rows)], rows)
             except FloatingPointError:
                 return first, rows
     return None
@@ -143,7 +143,7 @@ def _standardized_blocks(blocks: Iterable[np.ndarray], mean: np.ndarray, scale: 
             np.subtract(block, mean, out=block)
             yield np.divide(block, scale, out=block)
             continue
-        overflow = _round_into(block, mean, scale, block, wide)
+        overflow = _round_in_place(block, mean, scale, wide)
         if overflow is not None:
             # the block goes on in float64, so the writer can name the value unless a mask
             # covers it; rows before `first` are rounded already and widen back exactly
@@ -155,21 +155,16 @@ def _standardized_blocks(blocks: Iterable[np.ndarray], mean: np.ndarray, scale: 
         yield block
 
 
-def standardize(
-    features: FeatureMatrix | FeatureRows, stats: CorpusStats, out: np.ndarray | None = None
-) -> FeatureMatrix | FeatureRows:
+def standardize(features: FeatureMatrix | FeatureRows, stats: CorpusStats) -> FeatureMatrix | FeatureRows:
     """Per-channel (x - mean) / sqrt(max(variance, 1e-8)), computed in float64.
 
-    Without `out` the result is a new float64 array.  With `out`, an array
-    of the features' shape (`features.data` itself included), each value is
-    stored in `out`'s dtype and the returned matrix holds `out`; any dtype
-    but float64 is filled _STANDARDIZE_ROWS rows at a time from one float64
-    block, so each value is rounded once, and a value that is not finite
-    there raises FormatError naming its row and column.  FeatureRows come
-    back as FeatureRows whose blocks are standardized in place as they are
-    taken, float32 ones that way; a float32 block holding a value that
-    overflows goes on in float64, for the writer to report unless a mask
-    covers the value.
+    A FeatureMatrix comes back as a new float64 matrix; its input is left
+    untouched.  FeatureRows come back as FeatureRows whose blocks are
+    standardized in place as they are taken: a float64 block whole, a
+    float32 one from float64 rows _STANDARDIZE_ROWS at a time, so each value
+    is rounded once, as the writer rounds a float64 value.  A float32 block
+    holding a value that overflows goes on in float64, for the writer to
+    report unless a mask covers the value.
     """
     if stats.num_channels != features.num_channels:
         raise ConfigError(
@@ -180,24 +175,9 @@ def standardize(
     kind = "standardized_" + features.kind.removeprefix("standardized_")
     if isinstance(features, FeatureRows):
         return replace(features, kind=kind, blocks=_standardized_blocks(features.blocks, stats.mean, scale))
-    data = features.data
-    if out is None:
-        out = np.empty(data.shape)
-    if out.dtype == np.float64:
-        np.subtract(data, stats.mean, out=out)
-        np.divide(out, scale, out=out)
-    else:
-        wide = np.empty((min(_STANDARDIZE_ROWS, len(data)), data.shape[1]))
-        overflow = _round_into(data, stats.mean, scale, out, wide)
-        if overflow is not None:
-            first, wide = overflow
-            with np.errstate(over="ignore"):
-                row, column = np.argwhere(~np.isfinite(wide.astype(out.dtype)))[0]
-            raise FormatError(
-                f"standardized value {float(wide[row, column])!r} at row {first + row}, column {column} "
-                f"is not finite as {out.dtype}"
-            ) from None
-    return FeatureMatrix(data=out, frame_shift_ms=features.frame_shift_ms, kind=kind)
+    data = np.subtract(features.data, stats.mean, dtype=np.float64)
+    np.divide(data, scale, out=data)
+    return FeatureMatrix(data=data, frame_shift_ms=features.frame_shift_ms, kind=kind)
 
 
 def exact_masked_mean(max_width: int, extent: int) -> float:

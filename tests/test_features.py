@@ -19,6 +19,7 @@ from specmask.features import (
     PcmSignal,
     dct_matrix,
     extract,
+    extract_rows,
     frame_and_window,
     hz_to_mel,
     mel_energies,
@@ -565,7 +566,7 @@ _BIT_CASES = {
 
 
 def mel_chunk_frames(cfg: DspConfig, rate: int) -> int:
-    """R, the frames per mel chunk that extract's docstring states."""
+    """R, the frames per chunk that extract_rows's docstring states."""
     return max(MEL_BLOCK, math.ceil(2**20 / (cfg.n_mels * (cfg.fft_size(rate) // 2 + 1))))
 
 
@@ -573,7 +574,7 @@ def mel_chunk_frames(cfg: DspConfig, rate: int) -> int:
 @pytest.mark.parametrize(
     "length",
     ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s", "silent-frames"]
-    + ["mel-1", "mel", "mel+1", "2mel-1", "2mel", "2mel+1", "3mel+7"],
+    + ["mel-1", "mel", "mel+1", "2mel-1", "2mel", "2mel+1", "3mel+7", "5mel+3"],
 )
 def test_front_end_is_bit_identical_to_the_plain_route(case, length):
     cfg, rate = _BIT_CASES[case]
@@ -594,6 +595,11 @@ def test_front_end_is_bit_identical_to_the_plain_route(case, length):
     expected = reference_extract(signal, cfg)
     assert features.data.shape == expected.shape
     assert features.data.tobytes() == expected.tobytes()
+    # the streamed rows, taken as the pipeline takes them, are the same float64 bytes
+    rows = extract_rows(signal, cfg)
+    assert (rows.num_frames, rows.num_channels, rows.kind) == (*expected.shape, cfg.feature)
+    streamed = np.concatenate([block.copy() for block in rows.blocks])
+    assert streamed.dtype == np.float64 and streamed.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("preset", ["iwslt-like", "librispeech-like"])
@@ -623,7 +629,7 @@ def write_wav_data_later(path, samples: np.ndarray, rate: int) -> None:
 @pytest.mark.parametrize(
     "length",
     ["one-frame", "one-frame+1", "ragged", "block-1", "block", "block+1", "2block+1", "30s", "silent-frames"]
-    + ["mel-1", "mel", "mel+1", "2mel-1", "2mel", "2mel+1", "3mel+7"],
+    + ["mel-1", "mel", "mel+1", "2mel-1", "2mel", "2mel+1", "3mel+7", "5mel+3"],
 )
 def test_the_pipelines_streamed_records_have_the_bytes_of_extract(tmp_path, case, length, layout):
     # the pipeline reads a WAV record's samples a window at a time and writes
@@ -679,7 +685,7 @@ def bit_case_samples(cfg: DspConfig, rate: int, length: str) -> int:
         "2block+1": frame_len + 2 * FRAME_BLOCK * step,
         "30s": 30 * rate,
         "silent-frames": frame_len + 39 * step,
-        # extract's mel chunks: a remainder shorter than R joins the chunk before it
+        # extract_rows's chunks: T // R of them, of R to 2R - 1 frames each
         "mel-1": frame_len + (mel - 2) * step,
         "mel": frame_len + (mel - 1) * step,
         "mel+1": frame_len + mel * step,
@@ -687,6 +693,7 @@ def bit_case_samples(cfg: DspConfig, rate: int, length: str) -> int:
         "2mel": frame_len + (2 * mel - 1) * step,
         "2mel+1": frame_len + 2 * mel * step,
         "3mel+7": frame_len + (3 * mel + 6) * step,
+        "5mel+3": frame_len + (5 * mel + 2) * step,
     }[length]
 
 
@@ -735,11 +742,10 @@ def test_extract_peaks_below_one_frame_matrix():
 
 @pytest.mark.parametrize("preset", ["iwslt-like", "librispeech-like"])
 def test_extract_peaks_below_power_plus_two_feature_matrices(preset):
-    # the whole power matrix is never built: mel energies run one chunk of
-    # at most 2R - 1 frames at a time into one log-mel matrix, so at the peak
-    # the chunk's power buffer, the frame block and the log-mel matrix are
-    # live (or, at the DCT, the log-mel and the MFCC matrix), well under half
-    # of a 30 s power matrix
+    # the whole power matrix is never built: features are made one chunk of
+    # R to 2R - 1 frames at a time into one feature matrix, so at the peak the
+    # chunk's power buffer, the frame block, the chunk's products and the
+    # feature matrix are live, well under half of a 30 s power matrix
     cfg, rate = DSP_PRESETS[preset], 16000
     signal = noise_signal(30 * rate, rate)
     num_frames = (signal.samples.size - cfg.frame_length(rate)) // cfg.frame_step(rate) + 1

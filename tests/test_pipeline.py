@@ -12,7 +12,7 @@ import pytest
 
 from specmask.cli import main
 from specmask.errors import ConfigError, FormatError
-from specmask.features import ROW_BLOCK, DspConfig
+from specmask.features import DSP_PRESETS, ROW_BLOCK, DspConfig
 from specmask.manifest import ManifestRecord
 from specmask.masking import POLICY_PRESETS, AugmentPolicy, mask_index, masks_from_text, sample_policy_masks
 from specmask.pipeline import RunConfig, RunSummary, map_records, parse_dsp_config, run_pipeline
@@ -335,6 +335,18 @@ def test_a_log_mel_records_peak_does_not_grow_with_its_length(tmp_path):
         peaks[minutes] = one_record_peak(tmp_path, f"{minutes}.wav", mode="eval")
     assert abs(peaks[5] - peaks[1]) < 256 * 1024, peaks
     assert peaks[5] < 2 * 2**20, peaks
+
+
+def test_an_mfcc_records_peak_does_not_grow_with_its_length(tmp_path):
+    # an MFCC record's mel products and DCT run one chunk of R to 2R - 1 frames
+    # at a time, so a 5-minute iwslt-like record holds no more than a 1-minute one
+    peaks = {}
+    for minutes in (1, 5):
+        values = np.random.default_rng(minutes).integers(-12000, 12000, size=minutes * 60 * 16000, dtype=np.int16)
+        write_wav_int16(tmp_path / f"{minutes}.wav", values, 16000)
+        peaks[minutes] = one_record_peak(tmp_path, f"{minutes}.wav", dsp=DSP_PRESETS["iwslt-like"], mode="eval")
+    assert abs(peaks[5] - peaks[1]) < 256 * 1024, peaks
+    assert peaks[5] < 3 * 2**20, peaks
 
 
 def test_an_spfx_records_peak_does_not_grow_with_its_length(tmp_path):

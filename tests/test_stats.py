@@ -16,6 +16,7 @@ from specmask.features import FeatureMatrix
 from specmask.masking import MaskSpec, sample_axis_masks, sample_axis_masks_batch
 from specmask.render import render_masks_pgm
 from specmask.rng import RngState, substream_batch
+from specmask.spfx import write_spfx
 from specmask import stats
 from specmask.stats import (
     MC_BLOCK_TRIALS,
@@ -140,23 +141,17 @@ def test_standardize_dead_channel():
     assert out.kind == "standardized_mfcc"
 
 
-@pytest.mark.parametrize("target", ["none", "input", "other"])
-def test_standardize_writes_only_where_out_says(target):
+def test_standardize_returns_a_new_matrix_and_leaves_its_input_untouched():
     rng = np.random.default_rng(31)
     stats = CorpusStats(mean=rng.normal(size=5), variance=np.array([0.3, 2.0, 1e-9, 7.5, 1.0]), count=9)
     features = FeatureMatrix(data=rng.normal(size=(12, 5)), frame_shift_ms=10.0, kind="mfcc")
     before = features.data.tobytes()
     expected = (features.data - stats.mean) / np.sqrt(np.maximum(stats.variance, 1e-8))
-    out = {"none": None, "input": features.data, "other": np.empty((12, 5))}[target]
-    result = standardize(features, stats, out=out)
+    result = standardize(features, stats)
     assert result.data.tobytes() == expected.tobytes()
     assert result.kind == "standardized_mfcc"
-    if out is None:
-        assert not np.shares_memory(result.data, features.data)
-    else:
-        assert result.data is out
-    if target != "input":
-        assert features.data.tobytes() == before
+    assert not np.shares_memory(result.data, features.data)
+    assert features.data.tobytes() == before
 
 
 @pytest.mark.parametrize(
@@ -227,15 +222,14 @@ def test_float32_features_give_the_bytes_of_their_float64_widening(tmp_path, row
     corpus.variance[0] = 1e-9  # below VARIANCE_FLOOR
     expected = standardize(wide, corpus).data
     assert standardize(narrow, corpus).data.tobytes() == expected.tobytes()
-    spare = np.empty((rows, channels))
-    assert standardize(narrow, corpus, out=spare).data.tobytes() == expected.tobytes()
-    # into float32, each value is rounded once, as the writer rounds a float64 value
+    # float32 rows are standardized in place, each value rounded once, as the
+    # writer rounds a float64 value; float64 rows keep the float64 bytes
     in_place = narrow.data.copy()
-    result = standardize(FeatureMatrix(data=in_place, frame_shift_ms=10.0, kind="mfcc"), corpus, out=in_place)
-    assert result.data is in_place
+    blocks = list(standardize(replace(narrow, data=in_place).rows(), corpus).blocks)
+    assert all(block.dtype == np.float32 and np.shares_memory(block, in_place) for block in blocks)
     assert in_place.tobytes() == expected.astype(np.float32).tobytes()
-    narrowed = standardize(wide, corpus, out=np.empty((rows, channels), dtype=np.float32)).data
-    assert narrowed.tobytes() == in_place.tobytes()
+    wide_rows = standardize(replace(wide, data=wide.data.copy()).rows(), corpus)
+    assert np.concatenate(list(wide_rows.blocks)).tobytes() == expected.tobytes()
 
     # 0, 1 and the values on either side of each halfway point between two gray
     # levels, where a rescale in float32 would round to the other level
@@ -261,14 +255,16 @@ def test_stats_of_a_long_float32_column_are_those_of_its_widening():
 
 
 @pytest.mark.parametrize("warning_policy", ["default", "error"])
-def test_standardize_into_float32_refuses_an_overflow_by_its_position(warning_policy):
+def test_standardized_float32_rows_report_an_overflow_by_its_position(tmp_path, warning_policy):
     data = np.ones((2 * STANDARDIZE_ROWS, 3), dtype=np.float32)
     data[STANDARDIZE_ROWS + 5, 2] = 3e38  # about 9.5e42 once standardized against a variance of 1e-9
     corpus = CorpusStats(mean=np.zeros(3), variance=np.array([1.0, 1.0, 1e-9]), count=1)
+    rows = standardize(FeatureMatrix(data=data, frame_shift_ms=10.0, kind="mfcc").rows(), corpus)
     with warnings.catch_warnings():
         warnings.simplefilter(warning_policy)
         with pytest.raises(FormatError, match=f"at row {STANDARDIZE_ROWS + 5}, column 2 is not finite as float32"):
-            standardize(FeatureMatrix(data=data, frame_shift_ms=10.0, kind="mfcc"), corpus, out=data)
+            write_spfx(rows, tmp_path / "big.spfx")
+    assert not (tmp_path / "big.spfx").exists()
 
 
 # ------------------------------------------------------------- exact oracles
