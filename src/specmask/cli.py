@@ -20,7 +20,7 @@ from .errors import ConfigError, DivergenceError, EmptyInputError, SpecmaskError
 from .features import DspConfig
 from .manifest import format_manifest, parse_manifest, slice_manifest
 from .masking import POLICY_PRESETS, AugmentPolicy, masks_from_text, resolve_policy
-from .pipeline import RunConfig, RunSummary, load_features, map_records, parse_dsp_config, run_pipeline
+from .pipeline import RunConfig, RunSummary, check_inputs, load_features, map_records, parse_dsp_config, run_pipeline
 from .spfx import read_spfx, write_stats_container
 from .stats import accumulate_stats, verify_grid
 
@@ -68,6 +68,7 @@ def _cmd_stats(args) -> int:
     dsp = _dsp_from_args(args)
     manifest_path = Path(args.manifest)
     manifest = parse_manifest(manifest_path.read_text(encoding="utf-8"))
+    check_inputs(manifest.records, manifest_path.parent, dsp)
     summary = RunSummary()
     task = partial(load_features, base_dir=manifest_path.parent, dsp=dsp)
     try:

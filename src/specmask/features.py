@@ -43,9 +43,6 @@ MEL_BLOCK = 256
 #: plain process 512 ran slower than 256 and 768 (see ROADMAP item 6).
 ROW_BLOCK = 768
 
-#: Samples that `WavSamples` reads and decodes at once, unless a slice asks for more.
-WAV_WINDOW = 1 << 15
-
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
@@ -56,25 +53,20 @@ def _float32_or_float64(values) -> np.ndarray:
 
 
 class WavSamples:
-    """An open WAV file's 16-bit samples, decoded as `read_wav` decodes them, a window at a time.
-
-    A contiguous slice is a view of the last window read when that holds it;
-    otherwise one read takes the slice and up to WAV_WINDOW samples from its start.
-    """
+    """An open WAV file's 16-bit samples; each slice is read and decoded, as `read_wav` decodes, when it is taken."""
 
     def __init__(self, file, offset: int, size: int) -> None:
         self.file, self.offset, self.size = file, offset, size
-        self.first, self.window = 0, np.empty(0, dtype=np.float32)
 
     def __getitem__(self, index: slice) -> np.ndarray:
-        start, stop, _ = index.indices(self.size)
-        if not self.first <= start <= stop <= self.first + len(self.window):
-            pcm = np.empty(min(max(stop - start, WAV_WINDOW), self.size - start), dtype="<i2")
-            self.file.seek(self.offset + 2 * start)
-            if self.file.readinto(pcm) != pcm.nbytes:
-                raise FormatError(f"{self.file.name}: data chunk ended before sample {start + len(pcm)}")
-            self.first, self.window = start, np.multiply(pcm, 2.0**-15, dtype=np.float32)
-        return self.window[start - self.first : stop - self.first]
+        start, stop, step = index.indices(self.size)
+        if step != 1:
+            raise ValueError(f"WavSamples slices take a step of 1, got {step}")
+        pcm = np.empty(max(stop - start, 0), dtype="<i2")
+        self.file.seek(self.offset + 2 * start)
+        if self.file.readinto(pcm) != pcm.nbytes:
+            raise FormatError(f"{self.file.name}: data chunk ended before sample {stop}")
+        return np.multiply(pcm, 2.0**-15, dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -160,6 +152,16 @@ class FeatureRows:
     kind: str
     blocks: Iterator[np.ndarray]
 
+    def collect(self) -> FeatureMatrix:
+        """These rows, taken block by block, in one matrix of the blocks' dtype and with their bytes."""
+        data, first = None, 0
+        for block in self.blocks:
+            if data is None:
+                data = np.empty((self.num_frames, self.num_channels), dtype=block.dtype)
+            data[first : first + len(block)] = block
+            first += len(block)
+        return FeatureMatrix(data=data, frame_shift_ms=self.frame_shift_ms, kind=self.kind)
+
 
 @dataclass(frozen=True)
 class DspConfig:
@@ -229,6 +231,11 @@ class DspConfig:
 
     def effective_n_coeffs(self) -> int:
         return self.n_mels if self.n_coeffs is None else self.n_coeffs
+
+    @property
+    def num_channels(self) -> int:
+        """Channels of the features: n_mels log-mel bands or effective_n_coeffs() MFCCs."""
+        return self.effective_n_coeffs() if self.feature == "mfcc" else self.n_mels
 
 
 #: Named front-end configurations: 40-channel log-mel and 80-coefficient MFCC.
@@ -305,6 +312,12 @@ def read_wav(path, file=None) -> PcmSignal:
         return replace(signal, samples=signal.samples[:])
 
 
+def wav_sample_rate(path) -> int:
+    """The sample rate in the header of the WAV file at `path`, which is checked as `read_wav` checks it."""
+    with open(path, "rb") as file:
+        return _wav_signal(file, path).sample_rate
+
+
 def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
     """First-order high-pass y[n] = x[n] - coeff*x[n-1], with y[0] = x[0].
 
@@ -321,27 +334,44 @@ def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
     return out
 
 
+def _rate_frames(cfg: DspConfig, sample_rate: int) -> tuple[int, int, int]:
+    """(frame_len, step, n_fft) of `cfg` at `sample_rate`; raises ConfigError when the frame
+    length or step rounds below one sample or n_fft is below the frame length (`fft_size`)."""
+    frame_len, step = cfg.frame_length(sample_rate), cfg.frame_step(sample_rate)
+    if min(frame_len, step) < 1:
+        raise ConfigError(
+            f"frame length {frame_len} and step {step} samples at {sample_rate} Hz: "
+            "frame_len_ms and frame_shift_ms must each cover at least one sample"
+        )
+    return frame_len, step, cfg.fft_size(sample_rate)
+
+
+@lru_cache(maxsize=64)
+def check_rate(cfg: DspConfig, sample_rate: int) -> None:
+    """Raise the ConfigError that `cfg` meets at `sample_rate` whatever the signal.
+
+    These are the front end's checks that depend on the rate alone:
+    `_rate_frames`' and `mel_filterbank`'s, without building the bank.
+    `extract_rows` runs them before it reads a sample.
+    """
+    n_fft = _rate_frames(cfg, sample_rate)[2]
+    _mel_edge_bins(cfg.n_mels, n_fft, sample_rate, cfg.fmin_hz, cfg.effective_fmax(sample_rate))
+
+
 def _frame_geometry(signal: PcmSignal, cfg: DspConfig) -> tuple[int, int, int, int]:
     """(frame_len, step, n_fft, num_frames) of `signal` under `cfg`.
 
-    The last partial frame is dropped; raises ConfigError when the frame
-    length or step rounds below one sample at the signal's rate and
+    The last partial frame is dropped; raises as `_rate_frames` does, then
     EmptyInputError when the signal is shorter than one frame.  A step of at
     least the signal length gives the same single frame as any other, so the
     step is clamped to that length and stays a valid byte stride.
     """
-    frame_len = cfg.frame_length(signal.sample_rate)
-    step = cfg.frame_step(signal.sample_rate)
-    if min(frame_len, step) < 1:
-        raise ConfigError(
-            f"frame length {frame_len} and step {step} samples at {signal.sample_rate} Hz: "
-            "frame_len_ms and frame_shift_ms must each cover at least one sample"
-        )
+    frame_len, step, n_fft = _rate_frames(cfg, signal.sample_rate)
     size = signal.samples.size
     if size < frame_len:
         raise EmptyInputError(f"signal of {size} samples is shorter than one {frame_len}-sample frame")
     step = min(step, size)
-    return frame_len, step, cfg.fft_size(signal.sample_rate), (size - frame_len) // step + 1
+    return frame_len, step, n_fft, (size - frame_len) // step + 1
 
 
 def frame_and_window(
@@ -405,12 +435,8 @@ def mel_to_hz(mel):
     return 700.0 * (10.0 ** (np.asarray(mel, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fmax_hz: float) -> np.ndarray:
-    """Triangular filters on n_mels+2 equally-mel-spaced edge points over [fmin, fmax].
-
-    Edge points are rounded to FFT bins; they must stay distinct after
-    rounding or the filter shapes degenerate (ConfigError).
-    """
+def _mel_edge_bins(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fmax_hz: float) -> np.ndarray:
+    """`mel_filterbank`'s n_mels+2 edge points as FFT bins, after its checks."""
     if not 0 <= fmin_hz < fmax_hz <= sample_rate / 2.0:
         raise ConfigError(
             f"need 0 <= fmin < fmax <= sample_rate/2, got fmin={fmin_hz}, fmax={fmax_hz}, rate={sample_rate}"
@@ -425,6 +451,16 @@ def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fm
     bin_points = np.floor((n_fft + 1) * mel_to_hz(mel_points) / sample_rate).astype(int)
     if np.any(np.diff(bin_points) < 1):
         raise not_distinct
+    return bin_points
+
+
+def mel_filterbank(n_mels: int, n_fft: int, sample_rate: int, fmin_hz: float, fmax_hz: float) -> np.ndarray:
+    """Triangular filters on n_mels+2 equally-mel-spaced edge points over [fmin, fmax].
+
+    Edge points are rounded to FFT bins; they must stay distinct after
+    rounding or the filter shapes degenerate (ConfigError).
+    """
+    bin_points = _mel_edge_bins(n_mels, n_fft, sample_rate, fmin_hz, fmax_hz)
     bank = np.zeros((n_mels, n_fft // 2 + 1))
     for i in range(n_mels):
         left, center, right = bin_points[i], bin_points[i + 1], bin_points[i + 2]
@@ -488,7 +524,6 @@ def _feature_chunks(signal: PcmSignal, cfg: DspConfig) -> Iterator[np.ndarray]:
     block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
     power = np.empty((longest, bins))
     sample_rate = signal.sample_rate
-    _mel_bank(cfg, n_fft, sample_rate)  # colliding mel edges are refused before any log-mel rows are allocated
     logmel = np.empty((longest, cfg.n_mels))
     for lo, hi in zip(bounds, bounds[1:]):
         for first in range(lo, hi, FRAME_BLOCK):
@@ -510,23 +545,18 @@ def extract_rows(signal: PcmSignal, cfg: DspConfig) -> FeatureRows:
     one band (n_mels = 1).  A chunk's frames are windowed and transformed
     FRAME_BLOCK at a time into one power buffer of ceil(T / k) rows, and the
     mel matmul, floor, log and DCT run over the chunk's rows.  So with
-    `read_wav(path, file)`'s samples a record holds one window of samples
+    `read_wav(path, file)`'s samples a record holds one frame block's samples
     and fewer than 2R rows of each stage, whatever its length.  The rule
     keeps the bytes of one product over all frames: OpenBLAS rounds a
     product below about 2**20 multiply-adds, and numpy's one-column product,
-    differently from the same rows inside one long call.
+    differently from the same rows inside one long call.  `check_rate` runs
+    first, so a config that no signal at this rate can pass is refused at once.
     """
-    channels = cfg.effective_n_coeffs() if cfg.feature == "mfcc" else cfg.n_mels
+    check_rate(cfg, signal.sample_rate)
     num_frames = _frame_geometry(signal, cfg)[3]
-    return FeatureRows(num_frames, channels, cfg.frame_shift_ms, cfg.feature, _feature_chunks(signal, cfg))
+    return FeatureRows(num_frames, cfg.num_channels, cfg.frame_shift_ms, cfg.feature, _feature_chunks(signal, cfg))
 
 
 def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:
-    """`extract_rows(signal, cfg)` collected into one T x channels matrix, with the same bytes."""
-    rows = extract_rows(signal, cfg)
-    data = np.empty((rows.num_frames, rows.num_channels))
-    first = 0
-    for block in rows.blocks:
-        data[first : first + len(block)] = block
-        first += len(block)
-    return FeatureMatrix(data=data, frame_shift_ms=rows.frame_shift_ms, kind=rows.kind)
+    """`extract_rows(signal, cfg).collect()`: one float64 T x channels matrix, with the same bytes."""
+    return extract_rows(signal, cfg).collect()

@@ -18,10 +18,10 @@ from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError, SpecmaskError
-from .features import DspConfig, FeatureMatrix, extract, extract_rows, read_wav
+from .features import DspConfig, FeatureMatrix, FeatureRows, check_rate, extract_rows, read_wav, wav_sample_rate
 from .masking import POLICY_PRESETS, AugmentPolicy, apply_masks, masks_to_text, sample_policy_masks
 from .rng import RngState, derive_utterance_seed
-from .spfx import read_spfx, read_spfx_rows, read_stats_container, write_spfx
+from .spfx import read_spfx_rows, read_stats_container, write_spfx
 from .stats import CorpusStats, standardize
 from .manifest import Manifest, ManifestRecord, parse_manifest
 
@@ -99,12 +99,50 @@ def map_records(records: Sequence[ManifestRecord], task: Callable, num_workers: 
             yield value
 
 
-def load_features(record: ManifestRecord, base_dir: Path, dsp: DspConfig) -> FeatureMatrix:
-    """The record's features: read from its `.spfx` file, or extracted from its WAV with `dsp`."""
-    path = base_dir / record.path
+def check_inputs(
+    records: Sequence[ManifestRecord], base_dir: Path, dsp: DspConfig, stats: CorpusStats | None = None
+) -> None:
+    """Raise the ConfigError that every record of a manifest of WAVs would fail with, before any output is made.
+
+    A manifest holding an SPFX record, or none, is left to its records.
+    Otherwise `stats` must cover `dsp`'s channels, and `check_rate` runs at
+    each rate read from the WAV headers until one passes; when none does,
+    the first rate's error is raised.  An unreadable header fails as its record.
+    """
+    if not records or any(Path(record.path).suffix == ".spfx" for record in records):
+        return
+    if stats is not None:
+        stats.check_channels(dsp.num_channels)
+    refusals: dict[int, ConfigError] = {}
+    for record in records:
+        try:
+            rate = wav_sample_rate(base_dir / record.path)
+            if rate not in refusals:
+                check_rate(dsp, rate)
+                return
+        except ConfigError as exc:
+            refusals[rate] = exc
+        except RECORD_ERRORS:
+            continue
+    if refusals:
+        raise next(iter(refusals.values()))
+
+
+def open_features(path: Path, file, dsp: DspConfig) -> FeatureRows:
+    """The rows of the record at `path`, open as `file`: its `.spfx` payload, or its WAV's features under `dsp`.
+
+    Only the header is read now; the values are read as the blocks are taken.
+    """
     if path.suffix == ".spfx":
-        return read_spfx(path)
-    return extract(read_wav(path), dsp)
+        return read_spfx_rows(path, file)
+    return extract_rows(read_wav(path, file), dsp)
+
+
+def load_features(record: ManifestRecord, base_dir: Path, dsp: DspConfig) -> FeatureMatrix:
+    """The record's features in one matrix, as `open_features` gives them."""
+    path = base_dir / record.path
+    with open(path, "rb") as file:
+        return open_features(path, file, dsp).collect()
 
 
 def _process_one(
@@ -119,11 +157,7 @@ def _process_one(
     sidecar = out_dir / f"{record.utterance_id}.masks"
     try:
         with open(path, "rb") as file:
-            # only the header is read here: T, F and the masks come before any value
-            if path.suffix == ".spfx":
-                features = read_spfx_rows(path, file)
-            else:
-                features = extract_rows(read_wav(path, file), config.dsp)
+            features = open_features(path, file, config.dsp)  # T, F and the masks come before any value
             policy = config.effective_policy
             notes = [
                 f"{record.utterance_id}: requested {count} {axis} masks but only {extent} {unit}; capped"
@@ -161,6 +195,7 @@ def run_pipeline(config: RunConfig) -> RunSummary:
     for record in manifest.records:  # a record streams from its input to its output, so they must differ
         if os.path.normpath(real_base / record.path) == str(real_out / f"{record.utterance_id}.spfx"):
             raise ConfigError(f"record {record.utterance_id!r}: its input {record.path} is its own output file")
+    check_inputs(manifest.records, base_dir, config.dsp, stats)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summary = RunSummary()

@@ -103,17 +103,12 @@ def write_spfx(features: FeatureMatrix | FeatureRows, path) -> None:
 
 
 def read_spfx(path) -> FeatureMatrix:
-    """Load a feature matrix that holds the payload as one float32 array, read straight from the file.
+    """Load a feature matrix that holds the payload as one float32 array: `read_spfx_rows(...).collect()`.
 
     Raises as `read_spfx_rows` does.
     """
     with open(path, "rb") as file:
-        rows = read_spfx_rows(path, file)
-        payload = _read_payload(file, path, np.empty((rows.num_frames, rows.num_channels), dtype="<f4"))
-    try:
-        return FeatureMatrix(data=payload, frame_shift_ms=rows.frame_shift_ms, kind=rows.kind)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+        return read_spfx_rows(path, file).collect()
 
 
 def read_spfx_rows(path, file) -> FeatureRows:

@@ -71,6 +71,11 @@ class CorpusStats:
     def num_channels(self) -> int:
         return self.mean.shape[0]
 
+    def check_channels(self, num_channels: int) -> None:
+        """Raise ConfigError unless these stats cover `num_channels` channels."""
+        if self.num_channels != num_channels:
+            raise ConfigError(f"stats cover {self.num_channels} channels but features have {num_channels}")
+
 
 @dataclass(frozen=True)
 class MaskFractionReport:
@@ -158,7 +163,7 @@ def _standardized_blocks(blocks: Iterable[np.ndarray], mean: np.ndarray, scale: 
 def standardize(features: FeatureMatrix | FeatureRows, stats: CorpusStats) -> FeatureMatrix | FeatureRows:
     """Per-channel (x - mean) / sqrt(max(variance, 1e-8)), computed in float64.
 
-    A FeatureMatrix comes back as a new float64 matrix; its input is left
+    A FeatureMatrix is standardized in a float64 copy; its input is left
     untouched.  FeatureRows come back as FeatureRows whose blocks are
     standardized in place as they are taken: a float64 block whole, a
     float32 one from float64 rows _STANDARDIZE_ROWS at a time, so each value
@@ -166,17 +171,14 @@ def standardize(features: FeatureMatrix | FeatureRows, stats: CorpusStats) -> Fe
     holding a value that overflows goes on in float64, for the writer to
     report unless a mask covers the value.
     """
-    if stats.num_channels != features.num_channels:
-        raise ConfigError(
-            f"stats cover {stats.num_channels} channels but features have {features.num_channels}"
-        )
+    stats.check_channels(features.num_channels)
     # both paths divide: a multiply by 1/scale would round differently
     scale = np.sqrt(np.maximum(stats.variance, VARIANCE_FLOOR))
     kind = "standardized_" + features.kind.removeprefix("standardized_")
     if isinstance(features, FeatureRows):
         return replace(features, kind=kind, blocks=_standardized_blocks(features.blocks, stats.mean, scale))
-    data = np.subtract(features.data, stats.mean, dtype=np.float64)
-    np.divide(data, scale, out=data)
+    data = features.data.astype(np.float64)
+    next(_standardized_blocks([data], stats.mean, scale))
     return FeatureMatrix(data=data, frame_shift_ms=features.frame_shift_ms, kind=kind)
 
 

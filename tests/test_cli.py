@@ -628,18 +628,79 @@ def test_missing_wav_is_per_utterance_failure(tmp_path, capsys):
 
 
 
-def test_n_mels_far_above_the_fft_bins_fails_its_records_without_allocating(tmp_path, capsys):
-    # 10**15 + 2 mel edge points would need petabytes; the filterbank refuses them first
+def test_n_mels_far_above_the_fft_bins_exits_2_without_allocating(tmp_path, capsys):
+    # 10**15 + 2 mel edge points would need petabytes; the edge check refuses them first
     manifest = build_corpus(tmp_path, 1)
     config = tmp_path / "front-end.cfg"
     config.write_text(f"n_mels = {10**15}\n", encoding="utf-8")
-    assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 1
+    assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        "failed: utt000: 1000000000000002 mel edge points are not distinct after rounding to 512-point FFT bins; "
+        "error: 1000000000000002 mel edge points are not distinct after rounding to 512-point FFT bins; "
         "reduce n_mels or increase n_fft\n"
     )
-    assert "processed 0 utterances" in captured.out
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "augment", "stats"])
+def test_a_config_no_wav_rate_can_pass_exits_2_before_its_output(tmp_path, capsys, command):
+    manifest = build_corpus(tmp_path, 3)
+    config = tmp_path / "front-end.cfg"
+    config.write_text("n_mels = 80\n", encoding="utf-8")  # 82 edges over the 257 bins of a 512-point FFT collide
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--manifest", str(manifest), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: 82 mel edge points are not distinct after rounding to 512-point FFT bins; reduce n_mels or increase n_fft\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_when_every_wav_rate_fails_the_first_rates_error_exits_2(tmp_path, capsys):
+    # 40 Hz rounds the frame step to 0 samples, 16 kHz collides the 82 mel edges; ghost.wav has no header to read
+    manifest = build_corpus(tmp_path, 2)
+    write_wav(tmp_path / "slow.wav", 0.3 * np.sin(np.arange(80) / 3.0), 40)
+    manifest.write_text("ghost\tghost.wav\nslow\tslow.wav\n" + manifest.read_text(encoding="utf-8"), encoding="utf-8")
+    config = tmp_path / "front-end.cfg"
+    config.write_text("n_mels = 80\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["extract", "--config", str(config), "--manifest", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame length 1 and step 0 samples at 40 Hz")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["extract", "augment"])
+def test_stats_of_other_channels_than_the_front_end_exit_2_over_wavs(tmp_path, capsys, command):
+    manifest = build_corpus(tmp_path, 3)
+    stats_path = tmp_path / "corpus.spfx-stats"
+    golden_stats(stats_path, 80)
+    out = tmp_path / "out"
+    assert main([command, "--stats", str(stats_path), "--manifest", str(manifest), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: stats cover 80 channels but features have 40\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_stats_of_other_channels_fail_each_record_beside_an_spfx_record(tmp_path, capsys):
+    manifest = build_corpus(tmp_path, 2)
+    write_spfx_raw(tmp_path / "in.spfx", np.ones((5, 16)), kind_code=1)
+    with manifest.open("a", encoding="utf-8") as fh:
+        fh.write("feat\tin.spfx\n")
+    stats_path = tmp_path / "corpus.spfx-stats"
+    golden_stats(stats_path, 80)
+    out = tmp_path / "out"
+    assert main(["extract", "--stats", str(stats_path), "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "failed: utt000: stats cover 80 channels but features have 40",
+        "failed: utt001: stats cover 80 channels but features have 40",
+        "failed: feat: stats cover 80 channels but features have 16",
+    ]
+    assert list(out.iterdir()) == []
 
 
 # Both sizes need more than 2**57 bytes, the largest x86-64 address space, so

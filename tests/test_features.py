@@ -660,7 +660,7 @@ def test_a_streamed_signal_reads_the_spans_and_frames_of_a_read_one(tmp_path, la
     with open(path, "rb") as file:
         streamed = read_wav(path, file)
         assert (streamed.samples.size, streamed.sample_rate) == (size, rate)
-        # within the last window read, across its end, and past it
+        # from the start, across 2**15, and at the end
         for lo, hi in [(0, 1), (0, 400), (1, 2), (5000, 6001), (32760, 32800), (size - 3, size), (0, size)]:
             assert streamed.samples[lo:hi].tobytes() == read.samples[lo:hi].tobytes()
         # a block that starts at frame 0, and later ones that pre-emphasize from the sample before them
@@ -668,6 +668,35 @@ def test_a_streamed_signal_reads_the_spans_and_frames_of_a_read_one(tmp_path, la
             expected = frame_and_window(read, cfg, first, last)
             assert frame_and_window(streamed, cfg, first, last).tobytes() == expected.tobytes()
         assert extract(streamed, cfg).data.tobytes() == extract(read, cfg).data.tobytes()
+
+
+def test_streamed_samples_slice_as_the_array_does(tmp_path):
+    rate = 16000
+    path = tmp_path / "in.wav"
+    write_wav(path, noise_signal(rate, rate).samples, rate)
+    read = read_wav(path).samples
+    with open(path, "rb") as file:
+        streamed = read_wav(path, file).samples
+        # empty and reversed slices are empty, wherever they start
+        for index in [slice(5, 3), slice(5, 5), slice(-3, -5), slice(rate, None), slice(None, 0)]:
+            assert read[index].size == 0
+            assert (streamed[index].dtype, streamed[index].size) == (np.float32, 0)
+        assert streamed[-5:].tobytes() == read[-5:].tobytes()
+        for index in [slice(0, 10, 2), slice(None, None, -1), slice(5, 3, -1)]:
+            with pytest.raises(ValueError, match="step of 1"):
+                streamed[index]
+
+
+def test_collected_front_end_rows_stay_float64():
+    cfg, rate = DSP_PRESETS["librispeech-like"], 16000
+    signal = noise_signal(bit_case_samples(cfg, rate, "3mel+7"), rate)
+    collected = extract_rows(signal, cfg).collect()
+    assert collected.num_frames == 3 * mel_chunk_frames(cfg, rate) + 7
+    assert collected.data.dtype == np.float64
+    extracted = extract(signal, cfg)
+    assert extracted.data.dtype == np.float64
+    assert extracted.data.tobytes() == collected.data.tobytes()
+    assert (extracted.frame_shift_ms, extracted.kind) == (collected.frame_shift_ms, collected.kind)
 
 
 def bit_case_samples(cfg: DspConfig, rate: int, length: str) -> int:

@@ -10,14 +10,17 @@ import numpy as np
 import pytest
 
 from specmask.errors import FormatError
-from specmask.features import FeatureMatrix
+from specmask.features import ROW_BLOCK, FeatureMatrix
 from specmask.spfx import (
     read_spfx,
+    read_spfx_rows,
     read_stats_container,
     write_spfx,
     write_stats_container,
 )
 from specmask.stats import CorpusStats
+
+from conftest import write_spfx_raw
 
 
 def test_minimal_file_layout(tmp_path):
@@ -200,3 +203,26 @@ def test_stats_container_write_refuses_nonfinite_float32(tmp_path, mean):
         with pytest.raises(FormatError, match="row 0, column 1 is not finite as float32"):
             write_stats_container(stats, path)
     assert not path.exists()
+
+
+def test_collected_rows_are_the_float32_payload(tmp_path):
+    rows = np.random.default_rng(7).normal(size=(3 * ROW_BLOCK + 5, 6)).astype("<f4")
+    path = tmp_path / "long.spfx"
+    write_spfx_raw(path, rows, kind_code=1)
+    with open(path, "rb") as file:
+        collected = read_spfx_rows(path, file).collect()
+    for features in (collected, read_spfx(path)):
+        assert features.data.dtype == np.float32
+        assert features.data.tobytes() == rows.tobytes()
+        assert (features.frame_shift_ms, features.kind) == (10.0, "mfcc")
+
+
+def test_a_nan_in_the_last_block_fails_the_read_with_its_path(tmp_path):
+    rows = np.ones((3 * ROW_BLOCK + 5, 6), dtype="<f4")
+    rows[-1, 2] = np.nan
+    path = tmp_path / "late.spfx"
+    write_spfx_raw(path, rows, kind_code=1)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: feature data must be finite$"):
+        read_spfx(path)
+    with open(path, "rb") as file, pytest.raises(FormatError, match="feature data must be finite$"):
+        read_spfx_rows(path, file).collect()
