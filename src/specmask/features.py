@@ -4,11 +4,11 @@
 2**-15 exactly.  From pre-emphasis on, all arithmetic is float64 and
 deterministic: the same input bytes and configuration produce bit-identical
 feature matrices on the same machine, BLAS build and BLAS thread count.
-The matmuls go through BLAS, whose rounding can follow its thread count: at
-`iwslt-like` (n_fft 1024) one thread and two give different bytes, each
-repeatable.  `extract_rows` makes the features one chunk of R to 2R - 1
-frames at a time, so that every product's bytes are those of one product
-over all frames; `extract` collects those rows into one matrix.
+The matmuls go through BLAS, whose rounding can follow its kernel and
+thread count: at `iwslt-like` (n_fft 1024) one thread and two give
+different bytes, each repeatable.  `extract_rows` makes the features one
+chunk of MEL_BLOCK frames at a time, counted from frame 0, so the bytes
+follow MEL_BLOCK too; `extract` collects those rows into one matrix.
 """
 
 from __future__ import annotations
@@ -34,8 +34,9 @@ FEATURE_KINDS = ("log_mel", "mfcc", "standardized_log_mel", "standardized_mfcc")
 #: (`BENCH_frontend_blocks.json` has the sweep).
 FRAME_BLOCK = 64
 
-#: Fewest frames in one of `extract_rows`'s chunks; see `extract_rows` for
-#: the rule that keeps each chunk's products' bytes those of one call.
+#: Frames in each of `extract_rows`'s chunks, whose mel and DCT products are
+#: one BLAS call each.  Float64 feature bytes follow it, as they follow the
+#: BLAS kernel and thread count.
 MEL_BLOCK = 256
 
 #: Rows that `FeatureMatrix.rows` and `read_spfx_rows` hand on together.  Results do not
@@ -516,20 +517,16 @@ def mfcc_from_logmel(logmel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
 def _feature_chunks(signal: PcmSignal, cfg: DspConfig) -> Iterator[np.ndarray]:
     """The feature rows of each of `extract_rows`'s chunks, in order, each in a buffer the next reuses."""
     _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
-    bins = n_fft // 2 + 1
-    rows = num_frames if cfg.n_mels == 1 else max(MEL_BLOCK, -(-(1 << 20) // (cfg.n_mels * bins)))
-    chunks = max(num_frames // rows, 1)
-    bounds = [num_frames * i // chunks for i in range(chunks + 1)]
-    longest = -(-num_frames // chunks)
+    rows = min(MEL_BLOCK, num_frames)
     block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
-    power = np.empty((longest, bins))
-    sample_rate = signal.sample_rate
-    logmel = np.empty((longest, cfg.n_mels))
-    for lo, hi in zip(bounds, bounds[1:]):
+    power = np.empty((rows, n_fft // 2 + 1))
+    logmel = np.empty((rows, cfg.n_mels))
+    for lo in range(0, num_frames, MEL_BLOCK):
+        hi = min(lo + MEL_BLOCK, num_frames)
         for first in range(lo, hi, FRAME_BLOCK):
             last = min(first + FRAME_BLOCK, hi)
             power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first - lo : last - lo])
-        features = mel_energies(power[: hi - lo], cfg, sample_rate, out=logmel[: hi - lo])
+        features = mel_energies(power[: hi - lo], cfg, signal.sample_rate, out=logmel[: hi - lo])
         if cfg.feature == "mfcc":
             features = mfcc_from_logmel(features, cfg.effective_n_coeffs())
         yield features.data
@@ -538,19 +535,14 @@ def _feature_chunks(signal: PcmSignal, cfg: DspConfig) -> Iterator[np.ndarray]:
 def extract_rows(signal: PcmSignal, cfg: DspConfig) -> FeatureRows:
     """Full front end as FeatureRows: frame/window -> power spectrum -> log-mel -> optional MFCC.
 
-    Rows are made one chunk at a time as they are taken.  With
-    R = max(MEL_BLOCK, ceil(2**20 / (n_mels * (n_fft/2 + 1)))), the T frames
-    are split evenly into k = max(T // R, 1) chunks, at frames T * i // k:
-    each chunk has R to 2R - 1 frames, or all T when T < R or the bank has
-    one band (n_mels = 1).  A chunk's frames are windowed and transformed
-    FRAME_BLOCK at a time into one power buffer of ceil(T / k) rows, and the
-    mel matmul, floor, log and DCT run over the chunk's rows.  So with
-    `read_wav(path, file)`'s samples a record holds one frame block's samples
-    and fewer than 2R rows of each stage, whatever its length.  The rule
-    keeps the bytes of one product over all frames: OpenBLAS rounds a
-    product below about 2**20 multiply-adds, and numpy's one-column product,
-    differently from the same rows inside one long call.  `check_rate` runs
-    first, so a config that no signal at this rate can pass is refused at once.
+    Rows are made one chunk of MEL_BLOCK frames at a time as they are
+    taken, counted from frame 0, the last chunk shorter.  A chunk's frames
+    are windowed and transformed FRAME_BLOCK at a time into one power
+    buffer, and the mel matmul, floor, log and DCT run over the chunk's
+    rows.  So with `read_wav(path, file)`'s samples a record holds one
+    frame block's samples and at most MEL_BLOCK rows of each stage,
+    whatever its length.  `check_rate` runs first, so a config that no
+    signal at this rate can pass is refused at once.
     """
     check_rate(cfg, signal.sample_rate)
     num_frames = _frame_geometry(signal, cfg)[3]

@@ -191,9 +191,10 @@ def run_pipeline(config: RunConfig) -> RunSummary:
     base_dir = manifest_path.parent
     stats = read_stats_container(config.stats_path) if config.stats_path else None
     out_dir = Path(config.output_dir)
-    real_base, real_out = base_dir.resolve(), out_dir.resolve()
-    for record in manifest.records:  # a record streams from its input to its output, so they must differ
-        if os.path.normpath(real_base / record.path) == str(real_out / f"{record.utterance_id}.spfx"):
+    for record in manifest.records:  # a record streams from its input to its outputs, so they must differ
+        path = base_dir / record.path
+        outputs = (out_dir / f"{record.utterance_id}{suffix}" for suffix in (".spfx", ".masks"))
+        if path.exists() and any(output.exists() and os.path.samefile(path, output) for output in outputs):
             raise ConfigError(f"record {record.utterance_id!r}: its input {record.path} is its own output file")
     check_inputs(manifest.records, base_dir, config.dsp, stats)
     out_dir.mkdir(parents=True, exist_ok=True)

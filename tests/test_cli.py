@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import re
 import shlex
 import struct
@@ -14,7 +15,7 @@ import pytest
 
 from specmask import cli, errors
 from specmask.cli import build_parser, main
-from specmask.features import DspConfig, FeatureMatrix, extract, read_wav
+from specmask.features import ROW_BLOCK, DspConfig, FeatureMatrix, extract, read_wav
 from specmask.masking import POLICY_PRESETS, masks_from_text
 from specmask.pipeline import RunConfig, run_pipeline
 from specmask.spfx import HEADER, read_spfx, read_stats_container, write_spfx, write_stats_container
@@ -312,23 +313,32 @@ def test_an_overflowing_value_is_reported_as_a_plain_number(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("alias", [False, True])
+@pytest.mark.parametrize("alias", [False, True, "input-dir-link", "hard-link"])
 def test_a_record_whose_input_is_its_own_output_exits_2(tmp_path, capsys, alias):
     # records stream from input to output, so writing over the input would
-    # truncate it before it is read; an --out reached through a link counts too
-    write_spfx_raw(tmp_path / "u0.spfx", np.ones((5, 3)), kind_code=1)
+    # truncate it before it is read, and a failed record's cleanup would then
+    # remove it; an --out reached through a link (True), an input path through
+    # a directory link to --out and a hard link to the output count too
+    write_spfx_raw(tmp_path / "u0.spfx", np.ones((2 * ROW_BLOCK + 5, 3)), kind_code=1)
     before = (tmp_path / "u0.spfx").read_bytes()
-    manifest = tmp_path / "m.tsv"
-    manifest.write_text("u0\tu0.spfx\n", encoding="utf-8")
-    out = tmp_path
-    if alias:
+    out, path, made = tmp_path, "u0.spfx", []
+    if alias is True:
         out = tmp_path.parent / f"{tmp_path.name}-link"
         out.symlink_to(tmp_path, target_is_directory=True)
+    elif alias == "input-dir-link":
+        path, made = "alias/u0.spfx", ["alias"]
+        (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+    elif alias == "hard-link":
+        path, made = "in/u0.spfx", ["in"]
+        (tmp_path / "in").mkdir()
+        os.link(tmp_path / "u0.spfx", tmp_path / path)
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"u0\t{path}\n", encoding="utf-8")
     assert main(["augment", "--policy", "ld-like", "--manifest", str(manifest), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: record 'u0': its input u0.spfx is its own output file\n"
-    assert (tmp_path / "u0.spfx").read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.tsv", "u0.spfx"]
+    assert captured.err == f"error: record 'u0': its input {path} is its own output file\n"
+    assert (tmp_path / path).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["m.tsv", "u0.spfx", *made])
 
 
 def test_render_sidecar_that_does_not_fit_exits_2(tmp_path, capsys):

@@ -534,14 +534,19 @@ def reference_frames(signal: PcmSignal, cfg: DspConfig) -> np.ndarray:
     return np.pad(frames, ((0, 0), (0, n_fft - frame_len)))
 
 
+def chunked_product(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """rows @ matrix as one product per MEL_BLOCK rows from row 0, as extract_rows's chunks run it."""
+    return np.concatenate([rows[lo : lo + MEL_BLOCK] @ matrix for lo in range(0, len(rows), MEL_BLOCK)])
+
+
 def reference_extract(signal: PcmSignal, cfg: DspConfig) -> np.ndarray:
     """The front end rebuilt from reference_frames and freshly built public constants."""
     rate = signal.sample_rate
     power = power_spectrum(reference_frames(signal, cfg))
     bank = mel_filterbank(cfg.n_mels, cfg.fft_size(rate), rate, cfg.fmin_hz, cfg.effective_fmax(rate))
-    logmel = np.log(np.maximum(power @ bank.T, cfg.log_floor))
+    logmel = np.log(np.maximum(chunked_product(power, bank.T), cfg.log_floor))
     if cfg.feature == "mfcc":
-        return logmel @ dct_matrix(cfg.n_mels)[: cfg.effective_n_coeffs()].T
+        return chunked_product(logmel, dct_matrix(cfg.n_mels)[: cfg.effective_n_coeffs()].T)
     return logmel
 
 
@@ -557,17 +562,11 @@ _BIT_CASES = {
     "nfft2048-band-mfcc13": (DspConfig(n_fft=2048, fmin_hz=100.0, fmax_hz=7000.0, n_coeffs=13, feature="mfcc"), 16000),
     "8khz": (DspConfig(n_mels=23), 8000),
     "22khz-mfcc": (DspConfig(feature="mfcc", n_coeffs=20), 22050),
-    # few bands make long mel chunks (R = 4,081, 2,040 and 1,020 frames at
-    # 257 bins), and one band is never split
+    # one band's mel product is numpy's one-column product
     "one-band": (DspConfig(n_mels=1), 16000),
     "two-band": (DspConfig(n_mels=2), 16000),
     "four-band-mfcc": (DspConfig(n_mels=4, feature="mfcc"), 16000),
 }
-
-
-def mel_chunk_frames(cfg: DspConfig, rate: int) -> int:
-    """R, the frames per chunk that extract_rows's docstring states."""
-    return max(MEL_BLOCK, math.ceil(2**20 / (cfg.n_mels * (cfg.fft_size(rate) // 2 + 1))))
 
 
 @pytest.mark.parametrize("case", sorted(_BIT_CASES))
@@ -691,7 +690,7 @@ def test_collected_front_end_rows_stay_float64():
     cfg, rate = DSP_PRESETS["librispeech-like"], 16000
     signal = noise_signal(bit_case_samples(cfg, rate, "3mel+7"), rate)
     collected = extract_rows(signal, cfg).collect()
-    assert collected.num_frames == 3 * mel_chunk_frames(cfg, rate) + 7
+    assert collected.num_frames == 3 * MEL_BLOCK + 7
     assert collected.data.dtype == np.float64
     extracted = extract(signal, cfg)
     assert extracted.data.dtype == np.float64
@@ -702,7 +701,6 @@ def test_collected_front_end_rows_stay_float64():
 def bit_case_samples(cfg: DspConfig, rate: int, length: str) -> int:
     """Samples in a signal of the named length: frame counts on each side of extract's block and chunk edges."""
     frame_len, step = cfg.frame_length(rate), cfg.frame_step(rate)
-    mel = mel_chunk_frames(cfg, rate)
     return {
         "one-frame": frame_len,
         "one-frame+1": frame_len + 1,
@@ -714,15 +712,15 @@ def bit_case_samples(cfg: DspConfig, rate: int, length: str) -> int:
         "2block+1": frame_len + 2 * FRAME_BLOCK * step,
         "30s": 30 * rate,
         "silent-frames": frame_len + 39 * step,
-        # extract_rows's chunks: T // R of them, of R to 2R - 1 frames each
-        "mel-1": frame_len + (mel - 2) * step,
-        "mel": frame_len + (mel - 1) * step,
-        "mel+1": frame_len + mel * step,
-        "2mel-1": frame_len + (2 * mel - 2) * step,
-        "2mel": frame_len + (2 * mel - 1) * step,
-        "2mel+1": frame_len + 2 * mel * step,
-        "3mel+7": frame_len + (3 * mel + 6) * step,
-        "5mel+3": frame_len + (5 * mel + 2) * step,
+        # extract_rows's chunks of MEL_BLOCK frames from frame 0, the last shorter
+        "mel-1": frame_len + (MEL_BLOCK - 2) * step,
+        "mel": frame_len + (MEL_BLOCK - 1) * step,
+        "mel+1": frame_len + MEL_BLOCK * step,
+        "2mel-1": frame_len + (2 * MEL_BLOCK - 2) * step,
+        "2mel": frame_len + (2 * MEL_BLOCK - 1) * step,
+        "2mel+1": frame_len + 2 * MEL_BLOCK * step,
+        "3mel+7": frame_len + (3 * MEL_BLOCK + 6) * step,
+        "5mel+3": frame_len + (5 * MEL_BLOCK + 2) * step,
     }[length]
 
 
@@ -772,7 +770,7 @@ def test_extract_peaks_below_one_frame_matrix():
 @pytest.mark.parametrize("preset", ["iwslt-like", "librispeech-like"])
 def test_extract_peaks_below_power_plus_two_feature_matrices(preset):
     # the whole power matrix is never built: features are made one chunk of
-    # R to 2R - 1 frames at a time into one feature matrix, so at the peak the
+    # MEL_BLOCK frames at a time into one feature matrix, so at the peak the
     # chunk's power buffer, the frame block, the chunk's products and the
     # feature matrix are live, well under half of a 30 s power matrix
     cfg, rate = DSP_PRESETS[preset], 16000

@@ -327,18 +327,19 @@ def one_record_peak(tmp_path, input_name: str, **fields) -> int:
 
 def test_a_log_mel_records_peak_does_not_grow_with_its_length(tmp_path):
     # a WAV record streams to its .spfx in windows of samples and mel chunks of
-    # rows, so a 5-minute record holds no more than a 1-minute one
-    peaks = {}
+    # rows, so a 5-minute record holds no more than a 1-minute one; a one-band
+    # bank is chunked as any other
     for minutes in (1, 5):
         values = np.random.default_rng(minutes).integers(-12000, 12000, size=minutes * 60 * 16000, dtype=np.int16)
         write_wav_int16(tmp_path / f"{minutes}.wav", values, 16000)
-        peaks[minutes] = one_record_peak(tmp_path, f"{minutes}.wav", mode="eval")
-    assert abs(peaks[5] - peaks[1]) < 256 * 1024, peaks
-    assert peaks[5] < 2 * 2**20, peaks
+    for dsp in (DspConfig(), DspConfig(n_mels=1)):
+        peaks = {minutes: one_record_peak(tmp_path, f"{minutes}.wav", dsp=dsp, mode="eval") for minutes in (1, 5)}
+        assert abs(peaks[5] - peaks[1]) < 256 * 1024, (dsp.n_mels, peaks)
+        assert peaks[5] < 2 * 2**20, (dsp.n_mels, peaks)
 
 
 def test_an_mfcc_records_peak_does_not_grow_with_its_length(tmp_path):
-    # an MFCC record's mel products and DCT run one chunk of R to 2R - 1 frames
+    # an MFCC record's mel products and DCT run one chunk of MEL_BLOCK frames
     # at a time, so a 5-minute iwslt-like record holds no more than a 1-minute one
     peaks = {}
     for minutes in (1, 5):
