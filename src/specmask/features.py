@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, EmptyInputError, FormatError, UnsupportedFormatError
 
@@ -322,19 +321,16 @@ def wav_sample_rate(path) -> int:
 def pre_emphasize(samples: np.ndarray, coeff: float) -> np.ndarray:
     """First-order high-pass y[n] = x[n] - coeff*x[n-1], with y[0] = x[0].
 
-    Returns a new float64 array; float32 input is widened, exactly, as the
-    ufuncs read it.
+    Returns a new float64 array: the input widened to float64 once, exactly,
+    then the multiply and subtract run on float64 operands.
     """
-    x = np.asarray(samples)
-    if coeff == 0.0:
-        return x.astype(np.float64)
-    out = np.empty(x.shape)
-    out[0] = x[0]
-    np.multiply(x[:-1], coeff, out=out[1:], dtype=np.float64)
-    np.subtract(x[1:], out[1:], out=out[1:], dtype=np.float64)
+    out = np.array(samples, dtype=np.float64)
+    if coeff != 0.0:  # x - 0*x[n-1] would turn -0.0 into 0.0 and inf into nan
+        out[1:] -= coeff * out[:-1]
     return out
 
 
+@lru_cache(maxsize=64)
 def _rate_frames(cfg: DspConfig, sample_rate: int) -> tuple[int, int, int]:
     """(frame_len, step, n_fft) of `cfg` at `sample_rate`; raises ConfigError when the frame
     length or step rounds below one sample or n_fft is below the frame length (`fft_size`)."""
@@ -385,7 +381,9 @@ def frame_and_window(
     windowed samples fill the first frame_len columns of its leading rows,
     which are returned; the padding is left as it is, so a buffer zeroed once
     serves every block.  Only the samples those frames cover are read and
-    pre-emphasized, with the bytes of emphasizing the whole signal.
+    pre-emphasized, with the bytes of emphasizing the whole signal.  The
+    frames are a strided view of those samples, multiplied FRAME_BLOCK rows
+    at a time by the cached window rows, whatever the number of frames.
     """
     frame_len, step, n_fft, num_frames = _frame_geometry(signal, cfg)
     last = num_frames if last is None else last
@@ -394,11 +392,14 @@ def frame_and_window(
     lo = first * step
     before = 1 if lo else 0  # y[lo] needs x[lo - 1]; its own output is dropped
     emphasized = pre_emphasize(signal.samples[lo - before : (last - 1) * step + frame_len], cfg.pre_emphasis)
-    stride = emphasized.strides[0]
-    strided = as_strided(emphasized[before:], (last - first, frame_len), (step * stride, stride), writeable=False)
+    size = emphasized.itemsize
+    strided = np.ndarray((last - first, frame_len), np.float64, emphasized, before * size, (step * size, size))
     # window each strided frame straight into the zero-padded buffer rfft reads
     frames = np.zeros((last - first, n_fft)) if out is None else out[: last - first]
-    np.multiply(strided, _constant(np.hamming, frame_len), out=frames[:, :frame_len])
+    window = _constant(_window_rows, frame_len)
+    for row in range(0, last - first, FRAME_BLOCK):
+        rows = strided[row : row + FRAME_BLOCK]
+        np.multiply(rows, window[: len(rows)], out=frames[row : row + len(rows), :frame_len])
     return frames
 
 
@@ -411,7 +412,7 @@ def power_spectrum(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     frames = np.asarray(frames, dtype=np.float64)
     power = np.abs(np.fft.rfft(frames, axis=1), out=out)
     np.square(power, out=power)
-    if not np.all(np.isfinite(power)):
+    if not np.isfinite(power).all():
         raise ValueError("power spectrum is not finite; check the input frames")
     return power
 
@@ -420,12 +421,17 @@ def power_spectrum(frames: np.ndarray, out: np.ndarray | None = None) -> np.ndar
 def _constant(build, *args) -> np.ndarray:
     """`build(*args)`, built once per argument tuple and shared read-only.
 
-    Holds the window, filterbank and DCT matrix that every utterance of a run
-    reuses; the public builders still return a fresh, writable array.
+    Holds the window rows, filterbank and DCT matrix that every utterance of
+    a run reuses; the public builders still return a fresh, writable array.
     """
     array = build(*args)
     array.setflags(write=False)
     return array
+
+
+def _window_rows(frame_len: int) -> np.ndarray:
+    """FRAME_BLOCK rows of the frame_len-point Hamming window: faster to multiply by than one broadcast row."""
+    return np.tile(np.hamming(frame_len), (FRAME_BLOCK, 1))
 
 
 def hz_to_mel(hz):

@@ -114,6 +114,7 @@ def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
         mean = mean + delta * (batch_count / total)
         m2 = m2 + batch_m2 + delta**2 * (count * batch_count / total)
         count = total
+        del matrix, deviations  # not held while the stream makes the next matrix
     if mean is None or m2 is None:
         raise EmptyInputError("cannot accumulate statistics over an empty feature stream")
     variance = np.maximum(m2 / count, 0.0)  # merge rounding can dip just below zero

@@ -730,8 +730,12 @@ def test_frame_ranges_are_rows_of_the_whole_matrix(case):
     signal = noise_signal(cfg.frame_length(rate) + 150 * cfg.frame_step(rate) + 3, rate)
     whole = frame_and_window(signal, cfg)
     num_frames, n_fft = whole.shape
-    buffer = np.zeros((FRAME_BLOCK + 1, n_fft))
-    for first, last in [(0, 1), (0, FRAME_BLOCK), (1, 2), (37, 37 + FRAME_BLOCK), (num_frames - 5, num_frames)]:
+    buffer = np.zeros((2 * FRAME_BLOCK + 1, n_fft))
+    spans = [(0, 1), (0, FRAME_BLOCK), (1, 2), (37, 37 + FRAME_BLOCK), (num_frames - 5, num_frames)]
+    # the window rows are taken FRAME_BLOCK at a time: spans on each side of one and two blocks
+    for count in (1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, 2 * FRAME_BLOCK + 1):
+        spans += [(0, count), (5, 5 + count), (num_frames - count, num_frames)]
+    for first, last in spans:
         assert frame_and_window(signal, cfg, first, last).tobytes() == whole[first:last].tobytes()
         frames = frame_and_window(signal, cfg, first, last, out=buffer)
         assert frames.base is buffer and frames.shape == (last - first, n_fft)
@@ -800,12 +804,15 @@ def test_a_read_signal_adds_under_six_bytes_a_sample_to_the_peak(tmp_path, prese
 
 def test_pre_emphasis_is_bit_identical_to_the_plain_formula():
     x = noise_signal(1001, 16000).samples
-    for samples in (x, x.astype(np.float32)):  # float32 input is emphasized as if widened first
-        wide = samples.astype(np.float64)
+    pcm = (x * 2**15).astype(np.int16)
+    # other input is emphasized as if widened to float64 first; float64 input
+    # at coeff 0 still comes back as a new array
+    for samples in (x, x.astype(np.float32), pcm, pcm.tolist(), x.tolist()):
+        wide = np.asarray(samples).astype(np.float64)
         for coeff in (0.97, 0.5, 0.0):
             expected = np.concatenate(([wide[0]], wide[1:] - coeff * wide[:-1])) if coeff else wide
             out = pre_emphasize(samples, coeff)
-            assert out.dtype == np.float64 and not np.shares_memory(out, samples)
+            assert out.dtype == np.float64 and not np.shares_memory(out, np.asarray(samples))
             assert out.tobytes() == expected.tobytes()
     assert pre_emphasize(np.array([0.25]), 0.97).tolist() == [0.25]
 

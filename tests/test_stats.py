@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -102,6 +103,27 @@ def test_accumulate_order_independent():
 def test_accumulate_empty_stream():
     with pytest.raises(EmptyInputError):
         accumulate_stats([])
+
+
+def test_accumulate_lets_go_of_a_record_before_the_stream_makes_the_next():
+    # while the stream builds the next matrix, the loop holds neither the
+    # last one nor its float64 copy: the peak is one matrix, its copy and a
+    # little, where holding both while the next is built is three matrices
+    rows, channels = 10_000, 10
+
+    def stream():
+        for seed in range(4):
+            data = np.random.default_rng(seed).normal(size=(rows, channels))
+            yield FeatureMatrix(data=data, frame_shift_ms=10.0, kind="log_mel")
+
+    accumulate_stats(stream())  # one-time allocations happen outside the measurement
+    tracemalloc.start()
+    try:
+        accumulate_stats(stream())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * rows * channels * 8
 
 
 def test_accumulate_channel_mismatch():
