@@ -40,7 +40,7 @@ MEL_BLOCK = 256
 
 #: Rows that `FeatureMatrix.rows` and `read_spfx_rows` hand on together.  Results do not
 #: depend on it.  At 80 channels 768 rows keep a re-augmented record under 0.5 MiB; in a
-#: plain process 512 ran slower than 256 and 768 (see ROADMAP item 6).
+#: plain process 512 ran slower than 256 and 768 (`BENCH_streamed_records.json`).
 ROW_BLOCK = 768
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
@@ -142,8 +142,9 @@ def check_features(shape: tuple[int, ...], frame_shift_ms: float, kind: str, dat
 class FeatureRows:
     """A T x num_channels record whose `blocks` yield its rows in order, once, each made as it is taken.
 
-    A producer may reuse a block's array once the next is taken, and
-    `apply_masks` zeroes blocks in place.
+    A record's blocks may differ in length, and in dtype after `standardize`
+    meets an overflow.  A producer may reuse a block's array once the next is
+    taken, and `apply_masks` zeroes blocks in place.
     """
 
     num_frames: int
@@ -153,7 +154,7 @@ class FeatureRows:
     blocks: Iterator[np.ndarray]
 
     def collect(self) -> FeatureMatrix:
-        """These rows, taken block by block, in one matrix of the blocks' dtype and with their bytes."""
+        """These rows, taken block by block, in one matrix of its first block's dtype and with their bytes."""
         data, first = None, 0
         for block in self.blocks:
             if data is None:

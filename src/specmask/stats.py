@@ -9,6 +9,9 @@ and Monte Carlo accepts the same triples; it also refuses a triple whose walk
 would take more than 10**7 steps.  The Monte Carlo harness drives the
 real sampler.  The closed form and Monte Carlo are compared within 3 standard
 errors, which is what `verify` reports.
+
+`standardize` runs each record's blocks through one loop that rounds every
+value once: a float32 block goes through float64 rows rounded back in place.
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ MIN_TRIALS = 100
 #: not depend on it: every trial draws from its own substream.
 MC_BLOCK_TRIALS = 1 << 14
 
-#: Rows of a block that is not float64, such as a float32 SPFX block, that
-#: `standardize` computes together in float64 before it stores them back in
-#: the block.  Results do not depend on it; 256 and 1024 ran about as fast on
-#: a 1300 x 80 record, 32 to 128 slower.
+#: Rows of a float32 block, such as an SPFX block, that `standardize`'s loop
+#: computes together in float64 and rounds back into the block, or hands on as
+#: float64 if one overflows.  Results do not depend on it; 256 and 1024 ran
+#: about as fast on a 1300 x 80 record, 32 to 128 slower.
 _STANDARDIZE_ROWS = 256
 
 #: Most steps, min(extent, max(max_width, 1)) * (min(count, extent) + 1)**2,
@@ -121,44 +124,31 @@ def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
     return CorpusStats(mean=mean, variance=variance, count=count)
 
 
-def _round_in_place(block: np.ndarray, mean: np.ndarray, scale: np.ndarray, wide: np.ndarray):
-    """Standardize `block`, whose dtype is not float64, in place, len(wide) rows at a time.
-
-    Each block of rows is computed in the float64 `wide` first, so each value
-    is rounded once.  Returns None, or the first row and the float64 rows of
-    the first block holding a value that overflows `block`'s dtype.
-    """
-    with np.errstate(over="raise"):  # costs nothing until a value overflows
-        for first in range(0, len(block), len(wide)):
-            rows = wide[: min(len(wide), len(block) - first)]
-            try:
-                np.copyto(rows, block[first : first + len(rows)])  # widened first: mixed-dtype operands ran slower
-                np.subtract(rows, mean, out=rows)
-                np.divide(rows, scale, out=rows)
-                np.copyto(block[first : first + len(rows)], rows)
-            except FloatingPointError:
-                return first, rows
-    return None
-
-
 def _standardized_blocks(blocks: Iterable[np.ndarray], mean: np.ndarray, scale: np.ndarray) -> Iterator[np.ndarray]:
-    """Each block standardized in place: a float64 one whole, any other rounded from float64 rows."""
+    """Each block standardized in place, as `standardize` says: a float64 one whole, any other through `wide`."""
     wide = np.empty((_STANDARDIZE_ROWS, len(mean)))
     for block in blocks:
         if block.dtype == np.float64:
             np.subtract(block, mean, out=block)
             yield np.divide(block, scale, out=block)
             continue
-        overflow = _round_in_place(block, mean, scale, wide)
-        if overflow is not None:
-            # the block goes on in float64, so the writer can name the value unless a mask
-            # covers it; rows before `first` are rounded already and widen back exactly
-            first, rows = overflow
-            block = block.astype(np.float64)
-            block[first : first + len(rows)] = rows
-            rest = block[first + len(rows) :]
-            np.divide(np.subtract(rest, mean, out=rest), scale, out=rest)
-        yield block
+        done = 0  # rows of the block handed on so far
+        for first in range(0, len(block), len(wide)):
+            part = block[first : first + len(wide)]
+            rows = wide[: len(part)]
+            np.copyto(rows, part)  # widened first: mixed-dtype operands ran slower
+            np.subtract(rows, mean, out=rows)
+            np.divide(rows, scale, out=rows)
+            try:
+                with np.errstate(over="raise"):  # not around a yield: the setting would reach the consumer
+                    np.copyto(part, rows)
+            except FloatingPointError:  # the writer names the value unless a mask zeroes it
+                if done < first:
+                    yield block[done:first]
+                yield rows
+                done = first + len(rows)
+        if done < len(block):
+            yield block[done:]
 
 
 def standardize(features: FeatureMatrix | FeatureRows, stats: CorpusStats) -> FeatureMatrix | FeatureRows:
@@ -166,11 +156,11 @@ def standardize(features: FeatureMatrix | FeatureRows, stats: CorpusStats) -> Fe
 
     A FeatureMatrix is standardized in a float64 copy; its input is left
     untouched.  FeatureRows come back as FeatureRows whose blocks are
-    standardized in place as they are taken: a float64 block whole, a
-    float32 one from float64 rows _STANDARDIZE_ROWS at a time, so each value
-    is rounded once, as the writer rounds a float64 value.  A float32 block
-    holding a value that overflows goes on in float64, for the writer to
-    report unless a mask covers the value.
+    standardized in place as they are taken, in one loop: a float64 block
+    whole, a float32 one through float64 rows _STANDARDIZE_ROWS at a time,
+    each part rounded back once, as the writer rounds a float64 value.  A part
+    that overflows float32 goes on as its float64 rows between the block's
+    rows before and after it, for the writer to report unless a mask covers it.
     """
     stats.check_channels(features.num_channels)
     # both paths divide: a multiply by 1/scale would round differently

@@ -228,13 +228,23 @@ def test_an_overflow_that_a_mask_covers_is_written_as_zero(tmp_path):
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("row", [ROW_BLOCK + 10, ROW_BLOCK + 270])
-def test_an_overflow_in_a_later_block_gives_the_bytes_of_the_float64_route(tmp_path, row):
-    # the record's second block holds the overflow, in its first or second
-    # float64 block of rows; rows around it keep the bytes of standardizing the
-    # whole record in float64, masking and rounding once
-    values = np.random.default_rng(row).normal(size=(ROW_BLOCK + 300, 3))
-    values[row, 2] = 3e38
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (ROW_BLOCK + 10,), (ROW_BLOCK + 270,), (10,), (ROW_BLOCK + 522,),
+        (ROW_BLOCK + 10, ROW_BLOCK + 522), (ROW_BLOCK + 270, ROW_BLOCK + 522),
+    ],
+    ids=lambda rows: "-".join(map(str, rows)),
+)
+def test_an_overflow_in_a_later_block_gives_the_bytes_of_the_float64_route(tmp_path, rows):
+    # the overflows sit in the first, second or third 256-row part of a block,
+    # the first block or a later one; two of them in one block send it on as
+    # float64, float32 and float64 rows, or as float32 rows and two float64
+    # parts; every row keeps the bytes of standardizing the whole record in
+    # float64, masking and rounding once
+    values = np.random.default_rng(rows[0]).normal(size=(2 * ROW_BLOCK + 300, 3))
+    for row in rows:
+        values[row, 2] = 3e38
     write_spfx_raw(tmp_path / "big.spfx", values, kind_code=1)
     write_spfx_raw(tmp_path / "c.spfx-stats", [[0.5, -1.0, 0.0], [2.0, 0.5, 1e-9]], kind_code=255, frame_shift_ms=0.0)
     manifest = tmp_path / "m.tsv"
@@ -253,13 +263,14 @@ def test_an_overflow_in_a_later_block_gives_the_bytes_of_the_float64_route(tmp_p
             manifest_path=str(manifest), output_dir=str(out), policy=policy, seed=seed,
             stats_path=str(tmp_path / "c.spfx-stats"),
         ))
-        if expected[row, 2] == 0.0:
+        unmasked = [row for row in rows if expected[row, 2] != 0.0]
+        if not unmasked:
             assert summary.failures == []
             assert read_spfx(out / "big.spfx").data.tobytes() == expected.astype(np.float32).tobytes()
         else:
-            assert f"at row {row}, column 2 is not finite as float32; nothing written" in summary.failures[0][1]
+            assert f"at row {unmasked[0]}, column 2 is not finite as float32; nothing written" in summary.failures[0][1]
             assert list(out.iterdir()) == []
-        outcomes.add(expected[row, 2] == 0.0)
+        outcomes.add(not unmasked)
     assert outcomes == {True, False}
 
 
@@ -362,6 +373,34 @@ def test_an_spfx_records_peak_does_not_grow_with_its_length(tmp_path):
         )
     assert abs(peaks[30000] - peaks[6000]) < 256 * 1024, peaks
     assert peaks[30000] < 2**19, peaks
+
+
+def test_a_masked_overflow_adds_at_most_one_part_to_a_records_peak(tmp_path):
+    # standardized against a variance of 1e-9, 3e38 overflows float32; a mask
+    # covers it, so the record is written, and only the 256-row part holding
+    # it goes on in float64, not its whole 768-row block
+    variance = np.full(80, 2.0)
+    variance[5] = 1e-9
+    write_spfx_raw(tmp_path / "c.spfx-stats", [np.full(80, 0.5), variance], kind_code=255, frame_shift_ms=0.0)
+    values = np.random.default_rng(6).normal(size=(6000, 80))
+    write_spfx_raw(tmp_path / "fine.spfx", values, kind_code=1)
+    values[ROW_BLOCK + 300, 5] = 3e38
+    write_spfx_raw(tmp_path / "big.spfx", values, kind_code=1)
+    policy = POLICY_PRESETS["ld-like"]
+
+    def covers(seed: int) -> bool:
+        masks, _ = sample_policy_masks(policy, 6000, 80, RngState(derive_utterance_seed(seed, "rec")))
+        covered = np.zeros((6000, 80), dtype=bool)
+        for mask in masks:
+            covered[mask_index(mask, covered.shape)] = True
+        return covered[ROW_BLOCK + 300, 5]
+
+    seed = next(seed for seed in range(100) if covers(seed))
+    peaks = {
+        name: one_record_peak(tmp_path, f"{name}.spfx", policy=policy, seed=seed, stats_path=str(tmp_path / "c.spfx-stats"))
+        for name in ("fine", "big")
+    }
+    assert peaks["big"] - peaks["fine"] < 128 * 1024, peaks
 
 
 @pytest.mark.parametrize("workers", [1, 8])
