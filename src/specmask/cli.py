@@ -61,7 +61,7 @@ def _report_summary(summary: RunSummary, done: str | None = None) -> int:
 
 
 def _cmd_extract(args) -> int:
-    return _report_summary(_run(args, mode="eval"))  # eval features are never masked
+    return _report_summary(_run(args))  # RunConfig's default policy is `none`, so extract never masks
 
 
 def _cmd_stats(args) -> int:

@@ -143,8 +143,10 @@ class FeatureRows:
     """A T x num_channels record whose `blocks` yield its rows in order, once, each made as it is taken.
 
     A record's blocks may differ in length, and in dtype after `standardize`
-    meets an overflow.  A producer may reuse a block's array once the next is
-    taken, and `apply_masks` zeroes blocks in place.
+    meets an overflow, but together they hold num_frames rows of num_channels
+    values; `collect()` and `write_spfx` refuse blocks that do not.  A producer
+    may reuse a block's array once the next is taken, and `apply_masks` zeroes
+    blocks in place.
     """
 
     num_frames: int
@@ -154,13 +156,23 @@ class FeatureRows:
     blocks: Iterator[np.ndarray]
 
     def collect(self) -> FeatureMatrix:
-        """These rows, taken block by block, in one matrix of its first block's dtype and with their bytes."""
+        """These rows, taken block by block, in one matrix of its first block's dtype and with their bytes.
+
+        Raises ValueError when a block is not num_channels wide or the blocks
+        do not hold num_frames rows.
+        """
         data, first = None, 0
         for block in self.blocks:
+            if block.shape[1:] != (self.num_channels,) or first + len(block) > self.num_frames:
+                raise ValueError(
+                    f"a {block.shape} block after row {first} does not fit {self.num_frames} x {self.num_channels} rows"
+                )
             if data is None:
                 data = np.empty((self.num_frames, self.num_channels), dtype=block.dtype)
             data[first : first + len(block)] = block
             first += len(block)
+        if first != self.num_frames:
+            raise ValueError(f"the blocks hold {first} of {self.num_frames} rows")
         return FeatureMatrix(data=data, frame_shift_ms=self.frame_shift_ms, kind=self.kind)
 
 
@@ -521,24 +533,6 @@ def mfcc_from_logmel(logmel: FeatureMatrix, n_coeffs: int) -> FeatureMatrix:
     return replace(logmel, data=coeffs, kind="mfcc")
 
 
-def _feature_chunks(signal: PcmSignal, cfg: DspConfig) -> Iterator[np.ndarray]:
-    """The feature rows of each of `extract_rows`'s chunks, in order, each in a buffer the next reuses."""
-    _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
-    rows = min(MEL_BLOCK, num_frames)
-    block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
-    power = np.empty((rows, n_fft // 2 + 1))
-    logmel = np.empty((rows, cfg.n_mels))
-    for lo in range(0, num_frames, MEL_BLOCK):
-        hi = min(lo + MEL_BLOCK, num_frames)
-        for first in range(lo, hi, FRAME_BLOCK):
-            last = min(first + FRAME_BLOCK, hi)
-            power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first - lo : last - lo])
-        features = mel_energies(power[: hi - lo], cfg, signal.sample_rate, out=logmel[: hi - lo])
-        if cfg.feature == "mfcc":
-            features = mfcc_from_logmel(features, cfg.effective_n_coeffs())
-        yield features.data
-
-
 def extract_rows(signal: PcmSignal, cfg: DspConfig) -> FeatureRows:
     """Full front end as FeatureRows: frame/window -> power spectrum -> log-mel -> optional MFCC.
 
@@ -552,8 +546,24 @@ def extract_rows(signal: PcmSignal, cfg: DspConfig) -> FeatureRows:
     signal at this rate can pass is refused at once.
     """
     check_rate(cfg, signal.sample_rate)
-    num_frames = _frame_geometry(signal, cfg)[3]
-    return FeatureRows(num_frames, cfg.num_channels, cfg.frame_shift_ms, cfg.feature, _feature_chunks(signal, cfg))
+    _, _, n_fft, num_frames = _frame_geometry(signal, cfg)
+
+    def blocks():  # each chunk's feature rows, in buffers the next chunk reuses
+        rows = min(MEL_BLOCK, num_frames)
+        block = np.zeros((min(FRAME_BLOCK, num_frames), n_fft))  # padding zeroed once, per call
+        power = np.empty((rows, n_fft // 2 + 1))
+        logmel = np.empty((rows, cfg.n_mels))
+        for lo in range(0, num_frames, MEL_BLOCK):
+            hi = min(lo + MEL_BLOCK, num_frames)
+            for first in range(lo, hi, FRAME_BLOCK):
+                last = min(first + FRAME_BLOCK, hi)
+                power_spectrum(frame_and_window(signal, cfg, first, last, out=block), out=power[first - lo : last - lo])
+            features = mel_energies(power[: hi - lo], cfg, signal.sample_rate, out=logmel[: hi - lo])
+            if cfg.feature == "mfcc":
+                features = mfcc_from_logmel(features, cfg.effective_n_coeffs())
+            yield features.data
+
+    return FeatureRows(num_frames, cfg.num_channels, cfg.frame_shift_ms, cfg.feature, blocks())
 
 
 def extract(signal: PcmSignal, cfg: DspConfig) -> FeatureMatrix:

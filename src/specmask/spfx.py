@@ -29,8 +29,9 @@ def _write(path, frame_shift_ms: float, kind_code: int, shape: tuple[int, int], 
     """Write one container: the header for `shape`, then each 2-D block of `blocks` as float32 rows as it comes.
 
     The first block is made before the file is opened.  A value that is not
-    finite as float32 raises FormatError naming its row; on any error the
-    file is removed before the error propagates.
+    finite as float32 raises FormatError naming its row, and so do blocks that
+    are not `num_channels` wide or do not hold `num_frames` rows; on any error
+    the file is removed before the error propagates.
     """
     num_frames, num_channels = shape
     blocks = iter(blocks)
@@ -43,6 +44,11 @@ def _write(path, frame_shift_ms: float, kind_code: int, shape: tuple[int, int], 
             while rows is not None:
                 with np.errstate(over="ignore"):  # an overflow is reported by the check below
                     payload = np.ascontiguousarray(rows, dtype="<f4")
+                if payload.shape[1:] != (num_channels,) or written + len(payload) > num_frames:
+                    raise FormatError(
+                        f"{path}: a {payload.shape} block after row {written} does not fit "
+                        f"{num_frames} x {num_channels} rows; nothing written"
+                    )
                 if not np.isfinite(payload).all():
                     row, column = np.argwhere(~np.isfinite(payload))[0]
                     raise FormatError(
@@ -52,6 +58,8 @@ def _write(path, frame_shift_ms: float, kind_code: int, shape: tuple[int, int], 
                 file.write(payload)
                 written += len(payload)
                 rows = next(blocks, None)
+            if written != num_frames:
+                raise FormatError(f"{path}: the blocks hold {written} of {num_frames} rows; nothing written")
     except BaseException:
         os.unlink(path)
         raise

@@ -11,7 +11,7 @@ real sampler.  The closed form and Monte Carlo are compared within 3 standard
 errors, which is what `verify` reports.
 
 `standardize` runs each record's blocks through one loop that rounds every
-value once: a float32 block goes through float64 rows rounded back in place.
+value once: every block goes through float64 rows copied back in place.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ MIN_TRIALS = 100
 #: not depend on it: every trial draws from its own substream.
 MC_BLOCK_TRIALS = 1 << 14
 
-#: Rows of a float32 block, such as an SPFX block, that `standardize`'s loop
-#: computes together in float64 and rounds back into the block, or hands on as
-#: float64 if one overflows.  Results do not depend on it; 256 and 1024 ran
-#: about as fast on a 1300 x 80 record, 32 to 128 slower.
+#: Rows of a block that `standardize`'s loop computes together in float64 and
+#: copies back into the block, or hands on as float64 if one overflows the
+#: block's float32.  Results do not depend on it; 256 and 1024 ran about as
+#: fast on a 1300 x 80 float32 record, 32 to 128 slower.
 _STANDARDIZE_ROWS = 256
 
 #: Most steps, min(extent, max(max_width, 1)) * (min(count, extent) + 1)**2,
@@ -125,13 +125,9 @@ def accumulate_stats(features: Iterable[FeatureMatrix]) -> CorpusStats:
 
 
 def _standardized_blocks(blocks: Iterable[np.ndarray], mean: np.ndarray, scale: np.ndarray) -> Iterator[np.ndarray]:
-    """Each block standardized in place, as `standardize` says: a float64 one whole, any other through `wide`."""
+    """Each block standardized in place through `wide`, as `standardize` says."""
     wide = np.empty((_STANDARDIZE_ROWS, len(mean)))
     for block in blocks:
-        if block.dtype == np.float64:
-            np.subtract(block, mean, out=block)
-            yield np.divide(block, scale, out=block)
-            continue
         done = 0  # rows of the block handed on so far
         for first in range(0, len(block), len(wide)):
             part = block[first : first + len(wide)]
@@ -156,11 +152,11 @@ def standardize(features: FeatureMatrix | FeatureRows, stats: CorpusStats) -> Fe
 
     A FeatureMatrix is standardized in a float64 copy; its input is left
     untouched.  FeatureRows come back as FeatureRows whose blocks are
-    standardized in place as they are taken, in one loop: a float64 block
-    whole, a float32 one through float64 rows _STANDARDIZE_ROWS at a time,
-    each part rounded back once, as the writer rounds a float64 value.  A part
-    that overflows float32 goes on as its float64 rows between the block's
-    rows before and after it, for the writer to report unless a mask covers it.
+    standardized in place as they are taken, in one loop: every block goes
+    through float64 rows _STANDARDIZE_ROWS at a time, each part copied back
+    once, as the writer rounds a float64 value.  A part that overflows
+    float32 goes on as its float64 rows between the block's rows before and
+    after it, for the writer to report unless a mask covers it.
     """
     stats.check_channels(features.num_channels)
     # both paths divide: a multiply by 1/scale would round differently

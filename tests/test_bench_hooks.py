@@ -1,14 +1,17 @@
-"""The package functions that the benchmark's tracer wraps by name still exist.
+"""The package names that the benchmark wraps or calls still exist.
 
 `perfbench/spans.py` replaces module attributes named in
 `perfbench/workloads.py::SPAN_NAMES`, plus the draw counters on
 `masking.uniform` and `rng.next_u64_batch`, and reads some of their call
-arguments by parameter name.  A rename of either in the package would break
-the benchmark without failing any other test.
+arguments by parameter name; `perfbench/worker.py` builds `pipeline.RunConfig`
+by keyword.  A rename of any of these in the package would break the
+benchmark without failing any other test.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import importlib
 import inspect
 import runpy
@@ -17,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
+from specmask.pipeline import RunConfig
 from specmask.stats import verify_grid
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+WORKER = WORKLOADS.with_name("worker.py")
 
 
 def _hook_names() -> tuple[str, ...]:
@@ -50,6 +55,22 @@ def test_benchmark_bound_parameters_keep_their_names(name, parameters):
     module_name, attr = name.split(".")
     signature = inspect.signature(getattr(importlib.import_module(f"specmask.{module_name}"), attr))
     assert set(parameters) <= set(signature.parameters), f"specmask.{name}{signature}"
+
+
+def test_benchmark_run_configs_pass_only_fields():
+    # the benchmark builds `pipeline.RunConfig` by keyword; a field it names that
+    # the package drops would fail every benchmark run and no other test
+    calls = [
+        node
+        for node in ast.walk(ast.parse(WORKER.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "pipeline.RunConfig"
+    ]
+    assert calls, "perfbench/worker.py builds no pipeline.RunConfig"
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    for call in calls:
+        assert not call.args, f"line {call.lineno}: RunConfig is built by keyword"
+        names = {keyword.arg for keyword in call.keywords}
+        assert names <= fields, f"line {call.lineno}: {sorted(names - fields)} are not RunConfig fields"
 
 
 #: The hooks a verify-grid run goes through, so their spans are never empty there.

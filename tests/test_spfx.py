@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from specmask.errors import FormatError
-from specmask.features import ROW_BLOCK, FeatureMatrix
+from specmask.features import ROW_BLOCK, FeatureMatrix, FeatureRows
 from specmask.spfx import (
     read_spfx,
     read_spfx_rows,
@@ -215,6 +215,30 @@ def test_collected_rows_are_the_float32_payload(tmp_path):
         assert features.data.dtype == np.float32
         assert features.data.tobytes() == rows.tobytes()
         assert (features.frame_shift_ms, features.kind) == (10.0, "mfcc")
+
+
+#: Blocks of a 6 x 2 record that do not fill it: too few rows, too many,
+#: three channels, one channel (which numpy would broadcast) and no block.
+MISFIT_BLOCKS = {
+    "short": [(2, 2)],
+    "long": [(4, 2), (4, 2)],
+    "wide": [(6, 3)],
+    "narrow": [(6, 1)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("shapes", MISFIT_BLOCKS.values(), ids=MISFIT_BLOCKS.keys())
+def test_rows_that_do_not_fill_their_header_are_refused(tmp_path, shapes):
+    def rows():
+        return FeatureRows(6, 2, 10.0, "log_mel", (np.full(shape, 7.0) for shape in shapes))
+
+    with pytest.raises(ValueError, match=r"6 x 2 rows$|of 6 rows$"):
+        rows().collect()
+    path = tmp_path / "misfit.spfx"
+    with pytest.raises(FormatError, match=r"6 x 2 rows; nothing written$|of 6 rows; nothing written$"):
+        write_spfx(rows(), path)
+    assert not path.exists()
 
 
 def test_a_nan_in_the_last_block_fails_the_read_with_its_path(tmp_path):

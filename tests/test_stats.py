@@ -243,6 +243,10 @@ def test_float32_features_give_the_bytes_of_their_float64_widening(tmp_path, row
 
     corpus.variance[0] = 1e-9  # below VARIANCE_FLOOR
     expected = standardize(wide, corpus).data
+    # numpy's formula over the whole matrix, outside the package, whose loop
+    # takes float64 rows _STANDARDIZE_ROWS at a time too
+    reference = (wide.data - corpus.mean) / np.sqrt(np.maximum(corpus.variance, 1e-8))
+    assert expected.tobytes() == reference.tobytes()
     assert standardize(narrow, corpus).data.tobytes() == expected.tobytes()
     # float32 rows are standardized in place, each value rounded once, as the
     # writer rounds a float64 value; float64 rows keep the float64 bytes
